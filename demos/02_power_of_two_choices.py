@@ -14,8 +14,8 @@ TRIALS = 100
 
 print(f"{'n':>7} {'d=1 mean max':>13} {'pred':>6} {'d=2 mean max':>13} {'pred':>6}")
 for n in (100, 1_000, 10_000):
-    d1 = np.mean([throw_balls(n, n, 1, cycle_rng(1, t)).max_load for t in range(TRIALS)])
-    d2 = np.mean([throw_balls(n, n, 2, cycle_rng(2, t)).max_load for t in range(TRIALS)])
+    d1 = np.mean([throw_balls(n, n, 1, cycle_rng(1, t)).max() for t in range(TRIALS)])
+    d2 = np.mean([throw_balls(n, n, 2, cycle_rng(2, t)).max() for t in range(TRIALS)])
     p1 = max_load_prediction(n, n, 1).predicted_max_load
     p2 = max_load_prediction(n, n, 2).predicted_max_load
     print(f"{n:>7} {d1:>13.2f} {p1:>6.2f} {d2:>13.2f} {p2:>6.2f}")
@@ -27,7 +27,7 @@ print("its prediction. The per-bin tail bound (me/nk)^k is never violated:")
 print()
 
 n = m = 10_000
-loads = np.stack([throw_balls(n, m, 1, cycle_rng(3, t)).loads for t in range(TRIALS)])
+loads = np.stack([throw_balls(n, m, 1, cycle_rng(3, t)) for t in range(TRIALS)])
 print(f"{'k':>3} {'per-bin freq':>13} {'bound':>10}")
 for k in (4, 6, 8, 10):
     freq = (loads >= k).mean()

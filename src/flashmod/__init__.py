@@ -11,7 +11,6 @@ erasure-cycle experiments.
 
 from .ballsbins import (
     LoadRegime,
-    LoadVector,
     RegimePrediction,
     balls_until_overflow,
     collision_bound,
@@ -30,8 +29,6 @@ from .core import (
     WriteKind,
     WriteOutcome,
     cell_increment,
-    l1_norm,
-    weighted_sum,
     written,
 )
 from .field import DEFAULT_POLYS, FieldSpec, gf_add, gf_inv, gf_mul
@@ -44,7 +41,6 @@ from .sim import (
     min_of_n_expectation,
     run_cycle,
     run_experiment,
-    sample_input,
 )
 
 __version__ = "0.1.0"
@@ -58,8 +54,6 @@ __all__ = [
     "NOOP",
     "ERASE_REQUIRED",
     "written",
-    "l1_norm",
-    "weighted_sum",
     "cell_increment",
     "FieldSpec",
     "DEFAULT_POLYS",
@@ -70,7 +64,6 @@ __all__ = [
     "LoadBalancingCode",
     "make_code",
     "LoadRegime",
-    "LoadVector",
     "RegimePrediction",
     "throw_balls",
     "balls_until_overflow",
@@ -82,7 +75,6 @@ __all__ = [
     "CycleStats",
     "ExperimentStats",
     "cycle_rng",
-    "sample_input",
     "run_cycle",
     "run_experiment",
     "gamma_upper_bounds",

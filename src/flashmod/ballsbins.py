@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "LoadRegime",
     "RegimePrediction",
-    "LoadVector",
     "throw_balls",
     "balls_until_overflow",
     "collision_bound",
@@ -53,21 +52,6 @@ class RegimePrediction:
             raise ValueError(f"non-positive prediction {self.predicted_max_load}")
 
 
-@dataclass(frozen=True)
-class LoadVector:
-    """Bin occupancies after a throwing run."""
-
-    loads: np.ndarray
-
-    @property
-    def max_load(self) -> int:
-        return int(self.loads.max())
-
-    @property
-    def balls(self) -> int:
-        return int(self.loads.sum())
-
-
 def _check_bins(n: int, d: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -84,22 +68,50 @@ def _round_robin_loads(n: int, m: int) -> np.ndarray:
     return loads
 
 
-def _pair_blocks(n: int, count: int, rng: np.random.Generator):
-    """count choice pairs (first, second) of distinct bins, as lists."""
-    first = rng.integers(0, n, size=count)
-    second = rng.integers(0, n - 1, size=count)
-    second += second >= first
-    return first.tolist(), second.tolist()
+def _place(n: int, d: int, rng: np.random.Generator, balls: int, cap: int) -> list[int]:
+    """Sequential d-choice placement of up to balls balls into n bins.
+
+    Each ball's candidate pair goes to its less loaded member, ties to
+    the lower bin index.  d=2 draws distinct pairs in blocks of
+    min(balls left to draw, _CHUNK); d>2 draws rng.choice(n, d) per ball
+    and lets its least loaded candidate stand in as both members of the
+    pair.  Placement stops before the first ball whose bin already
+    holds cap balls.  Returns the bin loads; they sum to the balls placed.
+    """
+    counts = [0] * n
+    drawn = 0
+    while drawn < balls:
+        if d == 2:
+            size = min(balls - drawn, _CHUNK)
+            first = rng.integers(0, n, size=size)
+            second = rng.integers(0, n - 1, size=size)
+            second += second >= first
+            pairs = zip(first.tolist(), second.tolist())
+        else:
+            size = 1
+            best = min(rng.choice(n, size=d, replace=False).tolist(), key=lambda c: (counts[c], c))
+            pairs = ((best, best),)
+        drawn += size
+        for c0, c1 in pairs:
+            l0 = counts[c0]
+            l1 = counts[c1]
+            if l1 < l0 or (l1 == l0 and c1 < c0):
+                c0, l0 = c1, l1
+            if l0 == cap:
+                return counts
+            counts[c0] = l0 + 1
+    return counts
 
 
-def throw_balls(n: int, m: int, d: int, rng: np.random.Generator) -> LoadVector:
+def throw_balls(n: int, m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Throw m balls into n bins with d random choices per ball.
 
     Each ball samples d distinct bins uniformly at random (every bin once
     d >= n) and lands in the least loaded of them, ties to the lowest bin
-    index.  With a fixed generator the result is reproducible bit for
-    bit.  d values above 2 take a per-ball sampling path and are only
-    meant for small experiments.
+    index.  Returns the int64 bin loads, which sum to m.  With a fixed
+    generator the result is reproducible bit for bit.  d values above 2
+    take a per-ball sampling path and are only meant for small
+    experiments.
     """
     _check_bins(n, d)
     if m < 0:
@@ -107,33 +119,12 @@ def throw_balls(n: int, m: int, d: int, rng: np.random.Generator) -> LoadVector:
     if d == 1:
         # uniform placement is exchangeable: loads are the draw histogram
         if m == 0:
-            return LoadVector(np.zeros(n, dtype=np.int64))
-        return LoadVector(np.bincount(rng.integers(0, n, size=m), minlength=n).astype(np.int64))
+            return np.zeros(n, dtype=np.int64)
+        return np.bincount(rng.integers(0, n, size=m), minlength=n).astype(np.int64)
     if d >= n:
-        return LoadVector(_round_robin_loads(n, m))
-    counts = [0] * n
-    if d == 2:
-        remaining = m
-        while remaining > 0:
-            batch = min(remaining, _CHUNK)
-            firsts, seconds = _pair_blocks(n, batch, rng)
-            for c0, c1 in zip(firsts, seconds):
-                l0 = counts[c0]
-                l1 = counts[c1]
-                if l1 < l0 or (l1 == l0 and c1 < c0):
-                    c0, l0 = c1, l1
-                counts[c0] = l0 + 1
-            remaining -= batch
-        return LoadVector(np.asarray(counts, dtype=np.int64))
-    for _ in range(m):
-        best = -1
-        best_load = 0
-        for cand in rng.choice(n, size=d, replace=False).tolist():
-            load = counts[cand]
-            if best < 0 or load < best_load or (load == best_load and cand < best):
-                best, best_load = cand, load
-        counts[best] = best_load + 1
-    return LoadVector(np.asarray(counts, dtype=np.int64))
+        return _round_robin_loads(n, m)
+    # no bin can hold m balls before the last one lands, so cap=m never stops
+    return np.asarray(_place(n, d, rng, m, m), dtype=np.int64)
 
 
 def balls_until_overflow(n: int, q: int, d: int, rng: np.random.Generator) -> int:
@@ -166,31 +157,9 @@ def balls_until_overflow(n: int, q: int, d: int, rng: np.random.Generator) -> in
     if d >= n:
         # deterministic rotation fills every bin to q-1, then stalls
         return n * qm1
-    counts = [0] * n
-    placed = 0
-    if d == 2:
-        while True:
-            firsts, seconds = _pair_blocks(n, _CHUNK, rng)
-            for c0, c1 in zip(firsts, seconds):
-                l0 = counts[c0]
-                l1 = counts[c1]
-                if l1 < l0 or (l1 == l0 and c1 < c0):
-                    c0, l0 = c1, l1
-                if l0 == qm1:
-                    return placed
-                counts[c0] = l0 + 1
-                placed += 1
-    while True:
-        best = -1
-        best_load = 0
-        for cand in rng.choice(n, size=d, replace=False).tolist():
-            load = counts[cand]
-            if best < 0 or load < best_load or (load == best_load and cand < best):
-                best, best_load = cand, load
-        if best_load == qm1:
-            return placed
-        counts[best] = best_load + 1
-        placed += 1
+    # the stop fires within n*(q-1)+1 balls; a budget of whole _CHUNK
+    # blocks above that keeps every d=2 draw a full block
+    return sum(_place(n, d, rng, _CHUNK * (n * qm1 // _CHUNK + 1), qm1))
 
 
 def collision_bound(m: float, n: float, k: float) -> float:

@@ -236,11 +236,15 @@ def _cmd_ballsbins(args) -> int:
     if args.mode == "maxload":
         if args.m is None or args.m < 1:
             raise UsageError("maxload mode needs --m >= 1")
-        for sweep_index, d in enumerate(d_values):
+        try:  # configuration errors surface before any trial runs
+            predictions = [max_load_prediction(args.n, args.m, d) for d in d_values]
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        for sweep_index, (d, prediction) in enumerate(zip(d_values, predictions)):
             total = 0
             for t in range(args.trials):
                 rng = cycle_rng(seed, sweep_index * args.trials + t)
-                total += throw_balls(args.n, args.m, d, rng).max_load
+                total += int(throw_balls(args.n, args.m, d, rng).max())
             rows.append(
                 {
                     "mode": "maxload",
@@ -249,7 +253,7 @@ def _cmd_ballsbins(args) -> int:
                     "d": d,
                     "trials": args.trials,
                     "mean_max_load": total / args.trials,
-                    "predicted_max_load": max_load_prediction(args.n, args.m, d).predicted_max_load,
+                    "predicted_max_load": prediction.predicted_max_load,
                     "seed": seed,
                 }
             )
@@ -294,39 +298,25 @@ def _parse_fields(text: str, names: tuple[str, ...], caster) -> list:
 
 def _cmd_bounds(args) -> int:
     lines = []
-    if args.gamma_bounds:
-        k, l = _parse_fields(args.gamma_bounds, ("K", "L"), (int, int))
-        try:
+    try:
+        if args.gamma_bounds:
+            k, l = _parse_fields(args.gamma_bounds, ("K", "L"), (int, int))
             single, arbitrary = gamma_upper_bounds(k, l)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        lines.append(f"gamma_bounds(k={k}, l={l}): single_change={_fmt(single)} arbitrary_change={_fmt(arbitrary)}")
-    if args.max_load:
-        n, m, d = _parse_fields(args.max_load, ("N", "M", "D"), (int, int, int))
-        try:
+            lines.append(f"gamma_bounds(k={k}, l={l}): single_change={_fmt(single)} arbitrary_change={_fmt(arbitrary)}")
+        if args.max_load:
+            n, m, d = _parse_fields(args.max_load, ("N", "M", "D"), (int, int, int))
             pred = max_load_prediction(n, m, d)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        lines.append(f"max_load(n={n}, m={m}, d={d}) = {_fmt(pred.predicted_max_load)} [{pred.regime.value}]")
-    if args.collision:
-        m, n, k = _parse_fields(args.collision, ("M", "N", "K"), (float, float, float))
-        try:
+            lines.append(f"max_load(n={n}, m={m}, d={d}) = {_fmt(pred.predicted_max_load)} [{pred.regime.value}]")
+        if args.collision:
+            m, n, k = _parse_fields(args.collision, ("M", "N", "K"), (float, float, float))
             bound = collision_bound(m, n, k)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        lines.append(f"collision_bound(m={_fmt(m)}, n={_fmt(n)}, k={_fmt(k)}) = {_fmt(bound)}")
-    if args.dc is not None:
-        try:
-            value = solve_dc(args.dc)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        lines.append(f"dc({_fmt(args.dc)}) = {_fmt(value)}")
-    if args.lambertw is not None:
-        try:
-            value = lambert_w0(args.lambertw)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        lines.append(f"lambert_w0({_fmt(args.lambertw)}) = {_fmt(value)}")
+            lines.append(f"collision_bound(m={_fmt(m)}, n={_fmt(n)}, k={_fmt(k)}) = {_fmt(bound)}")
+        if args.dc is not None:
+            lines.append(f"dc({_fmt(args.dc)}) = {_fmt(solve_dc(args.dc))}")
+        if args.lambertw is not None:
+            lines.append(f"lambert_w0({_fmt(args.lambertw)}) = {_fmt(lambert_w0(args.lambertw))}")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if not lines:
         raise UsageError("bounds needs at least one of --gamma-bounds/--max-load/--collision/--dc/--lambertw")
     print("\n".join(lines))

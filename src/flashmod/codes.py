@@ -7,16 +7,7 @@ erased first.  Erasing itself is the simulator's job, which keeps the
 codes pure state transformers.
 """
 
-from .core import (
-    NOOP,
-    CellState,
-    CodeKind,
-    CodeParams,
-    WriteOutcome,
-    cell_increment,
-    l1_norm,
-    weighted_sum,
-)
+from .core import NOOP, CellState, CodeKind, CodeParams, WriteOutcome, cell_increment
 from .field import FieldSpec, gf_inv, gf_mul
 
 __all__ = ["SelfRandomizedCode", "LoadBalancingCode", "make_code"]
@@ -44,8 +35,8 @@ class SelfRandomizedCode:
         """Value currently stored; a function of the state alone."""
         if state.n != self.params.n:
             raise ValueError(f"state has {state.n} cells, code needs {self.params.n}")
-        r = l1_norm(state)
-        s = weighted_sum(state, self._mod)
+        r = state.level_sum
+        s = state.weighted_level_sum % self._mod
         # r(r+1)/2 is computed in full precision before the reduction
         return (s - r * (r + 1) // 2) % self._mod
 
@@ -60,7 +51,7 @@ class SelfRandomizedCode:
         if current == value:
             return NOOP
         delta = (value - current) % mod
-        target = (delta + l1_norm(state) + 1) % mod
+        target = (delta + state.level_sum + 1) % mod
         return cell_increment(state, target)
 
 
@@ -104,16 +95,16 @@ class LoadBalancingCode:
         """Value currently stored; a function of the state alone."""
         if state.n != self._n:
             raise ValueError(f"state has {state.n} cells, code needs {self._n}")
-        r = l1_norm(state)
-        raw = weighted_sum(state, self._n)
+        r = state.level_sum
+        raw = state.weighted_level_sum % self._n
         a, b = self._scalars(r)
         return gf_mul(self.field, self._inv[a], raw ^ b) % self._values
 
     def candidate_cells(self, state: CellState, value: int) -> list[int]:
         """Cells a write of value would choose among, in choice order."""
-        r = l1_norm(state) + 1
+        r = state.level_sum + 1
         a, b = self._scalars(r)
-        raw = weighted_sum(state, self._n)
+        raw = state.weighted_level_sum % self._n
         field = self.field
         values = self._values
         cells = []

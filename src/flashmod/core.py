@@ -20,8 +20,6 @@ __all__ = [
     "NOOP",
     "ERASE_REQUIRED",
     "written",
-    "l1_norm",
-    "weighted_sum",
     "cell_increment",
 ]
 
@@ -167,18 +165,6 @@ class CellState:
 
     def __repr__(self):
         return f"CellState(levels={self.levels!r}, q={self.q})"
-
-
-def l1_norm(state: CellState) -> int:
-    """Sum of all cell levels; equals the number of increments since erase."""
-    return state.level_sum
-
-
-def weighted_sum(state: CellState, modulus: int) -> int:
-    """Index-weighted level sum, sum_i i*levels[i], reduced mod modulus."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    return state.weighted_level_sum % modulus
 
 
 def cell_increment(state: CellState, idx: int) -> WriteOutcome:

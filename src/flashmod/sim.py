@@ -24,7 +24,6 @@ __all__ = [
     "CycleStats",
     "ExperimentStats",
     "cycle_rng",
-    "sample_input",
     "run_cycle",
     "run_experiment",
     "gamma_upper_bounds",
@@ -37,9 +36,10 @@ _SAMPLE_BLOCK = 512
 class DistributionSpec:
     """Categorical i.i.d. input law over {0, ..., size-1}.
 
-    probs must be non-negative and sum to 1 within 1e-9.  entropy_bits,
-    the Shannon entropy of the law, is the information credited per
-    accepted write; for the uniform law over 2**k values it equals k.
+    probs must be finite, non-negative and sum to 1 within 1e-9.
+    entropy_bits, the Shannon entropy of the law, is the information
+    credited per accepted write; for the uniform law over 2**k values it
+    equals k.
     """
 
     __slots__ = ("probs", "entropy_bits", "_cum")
@@ -50,6 +50,8 @@ class DistributionSpec:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probs must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < 0):
             raise ValueError("probabilities must be non-negative")
         total = float(p.sum())
@@ -79,11 +81,6 @@ class DistributionSpec:
     def sample_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count i.i.d. draws as an int array (inverse-CDF sampling)."""
         return np.searchsorted(self._cum, rng.random(count), side="right")
-
-
-def sample_input(dist: DistributionSpec, rng: np.random.Generator) -> int:
-    """One draw from dist."""
-    return int(dist.sample_block(rng, 1)[0])
 
 
 def cycle_rng(master_seed: int, index: int) -> np.random.Generator:

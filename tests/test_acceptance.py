@@ -146,8 +146,8 @@ def test_criterion_3_eta_matches_random_loading(fig2_runs):
 @pytest.fixture(scope="module")
 def maxload_trials():
     n = m = 10_000
-    d1_loads = np.stack([throw_balls(n, m, 1, cycle_rng(4001, t)).loads for t in range(200)])
-    d2_max = [throw_balls(n, m, 2, cycle_rng(4002, t)).max_load for t in range(200)]
+    d1_loads = np.stack([throw_balls(n, m, 1, cycle_rng(4001, t)) for t in range(200)])
+    d2_max = [throw_balls(n, m, 2, cycle_rng(4002, t)).max() for t in range(200)]
     return n, m, d1_loads, np.asarray(d2_max)
 
 

@@ -5,7 +5,10 @@ import pytest
 import scipy.special
 
 from flashmod.ballsbins import (
+    _CHUNK,
     LoadRegime,
+    _place,
+    _round_robin_loads,
     balls_until_overflow,
     collision_bound,
     lambert_w0,
@@ -17,19 +20,19 @@ from flashmod.sim import cycle_rng
 
 
 def test_throw_balls_trivial_cases():
-    assert throw_balls(4, 0, 1, cycle_rng(0, 0)).loads.tolist() == [0, 0, 0, 0]
+    assert throw_balls(4, 0, 1, cycle_rng(0, 0)).tolist() == [0, 0, 0, 0]
     for d in (1, 2, 5):
         lv = throw_balls(1, 5, d, cycle_rng(0, d))
-        assert lv.loads.tolist() == [5]
-        assert lv.max_load == 5 and lv.balls == 5
+        assert lv.tolist() == [5]
+        assert lv.max() == 5 and lv.sum() == 5
 
 
 def test_throw_balls_conserves_balls_and_reproduces():
     for d in (1, 2, 3):
         a = throw_balls(50, 400, d, cycle_rng(123, d))
         b = throw_balls(50, 400, d, cycle_rng(123, d))
-        assert a.balls == 400
-        assert a.loads.tolist() == b.loads.tolist()
+        assert a.sum() == 400
+        assert a.tolist() == b.tolist()
 
 
 def test_throw_balls_validates_args():
@@ -45,7 +48,7 @@ def test_throw_balls_validates_args():
 def test_all_bins_as_candidates_round_robins():
     # d >= n makes every bin a candidate, so placement is deterministic
     lv = throw_balls(4, 10, 4, cycle_rng(0, 0))
-    assert lv.loads.tolist() == [3, 3, 2, 2]
+    assert lv.tolist() == [3, 3, 2, 2]
 
 
 def test_uniform_placement_mean_max_load():
@@ -57,7 +60,7 @@ def test_uniform_placement_mean_max_load():
     large at this scale.
     """
     n = m = 10_000
-    maxima = [throw_balls(n, m, 1, cycle_rng(77, t)).max_load for t in range(60)]
+    maxima = [throw_balls(n, m, 1, cycle_rng(77, t)).max() for t in range(60)]
     mean = float(np.mean(maxima))
     assert 6.2 <= mean <= 7.2
 
@@ -65,15 +68,15 @@ def test_uniform_placement_mean_max_load():
 def test_two_choice_mean_max_load():
     # two choices concentrate the maximum near 1 + ln ln n / ln 2
     n = m = 10_000
-    maxima = [throw_balls(n, m, 2, cycle_rng(78, t)).max_load for t in range(60)]
+    maxima = [throw_balls(n, m, 2, cycle_rng(78, t)).max() for t in range(60)]
     mean = float(np.mean(maxima))
     pred = max_load_prediction(n, m, 2).predicted_max_load
     assert abs(mean - pred) <= 1.5
 
 
 def test_two_choices_beat_one_choice():
-    d1 = [throw_balls(256, 256, 1, cycle_rng(5, t)).max_load for t in range(100)]
-    d2 = [throw_balls(256, 256, 2, cycle_rng(5, t)).max_load for t in range(100)]
+    d1 = [throw_balls(256, 256, 1, cycle_rng(5, t)).max() for t in range(100)]
+    d2 = [throw_balls(256, 256, 2, cycle_rng(5, t)).max() for t in range(100)]
     assert np.mean(d2) < np.mean(d1)
     # per-trial reversals are rare
     assert sum(b > a for a, b in zip(d1, d2)) <= 5
@@ -108,6 +111,64 @@ def test_balls_until_overflow_matches_sequential_reference():
         assert fast == slow
 
 
+def _sequential_place(n, d, rng, balls, cap, block):
+    """Plain replay of the documented draws, one ball at a time.
+
+    d=2 takes distinct pairs from blocks of block(balls left to draw)
+    draws; d>2 takes one rng.choice(n, d, replace=False) per ball.  The
+    ball goes to its least loaded candidate, ties to the lowest index,
+    unless that bin already holds cap balls, which ends the run.  Returns
+    the bin loads.
+    """
+    counts = [0] * n
+    candidates = []
+    for _ in range(balls):
+        if d == 2:
+            if not candidates:
+                size = block(balls - sum(counts))
+                first = rng.integers(0, n, size=size)
+                second = rng.integers(0, n - 1, size=size)
+                second[second >= first] += 1
+                candidates = [[int(a), int(b)] for a, b in zip(first, second)][::-1]
+            cands = candidates.pop()
+        else:
+            cands = [int(c) for c in rng.choice(n, size=d, replace=False)]
+        best = min(cands, key=lambda c: (counts[c], c))
+        if counts[best] == cap:
+            break
+        counts[best] += 1
+    return counts
+
+
+def test_placement_kernel_matches_sequential_reference():
+    # throw draws d=2 blocks of min(remaining, _CHUNK), overflow full
+    # _CHUNK blocks; both public entry points must replay the reference
+    def throw_block(left):
+        return min(left, _CHUNK)
+
+    def overflow_block(left):
+        return _CHUNK
+
+    for t in range(30):
+        n = (5, 17, 40)[t % 3]
+        d = 2 + t % 2
+        m = _CHUNK + 700 if t in (0, 2) else 50 + 37 * t  # two d=2 throws cross a block
+        q = 2 + t % 5
+        want = _sequential_place(n, d, cycle_rng(400, t), m, m, throw_block)
+        assert sum(want) == m
+        assert _place(n, d, cycle_rng(400, t), m, m) == want
+        assert throw_balls(n, m, d, cycle_rng(400, t)).tolist() == want
+
+        want = _sequential_place(n, d, cycle_rng(500, t), n * (q - 1) + 1, q - 1, overflow_block)
+        assert balls_until_overflow(n, q, d, cycle_rng(500, t)) == sum(want)
+
+    # d >= n: every bin is a candidate and the kernel rotates like the
+    # deterministic shortcut the public functions take
+    for t in range(3):
+        want = _sequential_place(4, 4, cycle_rng(600, t), 10, 10, throw_block)
+        assert _place(4, 4, cycle_rng(600, t), 10, 10) == want == _round_robin_loads(4, 10).tolist()
+
+
 def test_rewrite_count_scaling_at_large_q():
     """At q = 4096 and n = 8, nearly every trial reaches n*(q - q^(2/3))."""
     n, q = 8, 4096
@@ -127,7 +188,7 @@ def test_collision_bound_examples():
 def test_collision_bound_holds_per_bin_empirically():
     # fraction of (trial, bin) pairs at or above k stays under the bound
     n = m = 1000
-    loads = np.stack([throw_balls(n, m, 1, cycle_rng(31, t)).loads for t in range(200)])
+    loads = np.stack([throw_balls(n, m, 1, cycle_rng(31, t)) for t in range(200)])
     for k in (4, 6):
         assert (loads >= k).mean() <= collision_bound(m, n, k)
 

@@ -87,7 +87,7 @@ def test_simulate_dist_file(tmp_path):
     assert len(read_csv(out)) == 2
 
 
-def test_simulate_dist_errors_exit_2(tmp_path):
+def test_simulate_dist_errors_exit_2(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     missing = str(tmp_path / "nope.txt")
     assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", missing, "--out", out]) == 2
@@ -98,6 +98,11 @@ def test_simulate_dist_errors_exit_2(tmp_path):
     short.write_text("0.5\n0.5\n")
     assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", str(short), "--out", out]) == 2
     assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", "0.5,0.5,0.25", "--out", out]) == 2
+    capsys.readouterr()
+    for law in ("0.5,nan,0.5,0", "inf,0,0,0", "0.5,0.5,-inf,inf"):
+        assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", law, "--out", out]) == 2
+        assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_inline_dist(tmp_path):
@@ -210,11 +215,18 @@ def test_ballsbins_overflow_rows(tmp_path):
     assert all(0.0 <= r["eta_oracle"] < 1.0 for r in records)
 
 
-def test_ballsbins_flag_validation(tmp_path):
+def test_ballsbins_flag_validation(tmp_path, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the configuration check")
+
+    monkeypatch.setattr("flashmod.cli.throw_balls", no_trials)
+    monkeypatch.setattr("flashmod.cli.balls_until_overflow", no_trials)
     out = str(tmp_path / "x.csv")
     assert run_cli(["ballsbins", "--mode", "maxload", "--n", "10", "--out", out]) == 2  # no --m
     assert run_cli(["ballsbins", "--mode", "overflow", "--n", "10", "--out", out]) == 2  # no --q
     assert run_cli(["ballsbins", "--mode", "overflow", "--n", "10", "--q", "1", "--out", out]) == 2
+    # the max-load prediction needs n >= 3
+    assert run_cli(["ballsbins", "--mode", "maxload", "--n", "2", "--m", "4", "--d", "1,2", "--out", out]) == 2
 
 
 def test_unwritable_output_is_runtime_failure(tmp_path):

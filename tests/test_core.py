@@ -10,8 +10,6 @@ from flashmod.core import (
     CodeParams,
     WriteKind,
     cell_increment,
-    l1_norm,
-    weighted_sum,
     written,
 )
 
@@ -21,20 +19,15 @@ level_lists = st.integers(2, 12).flatmap(
 
 
 def test_l1_norm_examples():
-    assert l1_norm(CellState([0, 0, 0, 0], 4)) == 0
-    assert l1_norm(CellState([1, 2, 0], 4)) == 3
-    assert l1_norm(CellState([1, 1], 4)) == 2
+    assert CellState([0, 0, 0, 0], 4).level_sum == 0
+    assert CellState([1, 2, 0], 4).level_sum == 3
+    assert CellState([1, 1], 4).level_sum == 2
 
 
 def test_weighted_sum_examples():
-    assert weighted_sum(CellState([2, 0, 0, 0], 4), 4) == 0
-    assert weighted_sum(CellState([0, 1, 0, 1], 4), 4) == 0
-    assert weighted_sum(CellState([0, 0, 1, 0], 4), 4) == 2
-
-
-def test_weighted_sum_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        weighted_sum(CellState([0, 0], 4), 0)
+    assert CellState([2, 0, 0, 0], 4).weighted_level_sum % 4 == 0
+    assert CellState([0, 1, 0, 1], 4).weighted_level_sum % 4 == 0
+    assert CellState([0, 0, 1, 0], 4).weighted_level_sum % 4 == 2
 
 
 def test_cell_increment_examples():
@@ -63,9 +56,9 @@ def test_aggregates_match_brute_force(case):
     "Cached sums equal a fresh scan of the levels."
     q, levels = case
     state = CellState(levels, q)
-    assert l1_norm(state) == sum(levels)
+    assert state.level_sum == sum(levels)
     for modulus in (1, 2, 7, len(levels) + 3):
-        assert weighted_sum(state, modulus) == sum(i * v for i, v in enumerate(levels)) % modulus
+        assert state.weighted_level_sum % modulus == sum(i * v for i, v in enumerate(levels)) % modulus
 
 
 @given(level_lists, st.lists(st.integers(0, 1000), max_size=40))
@@ -76,15 +69,15 @@ def test_increment_walk_keeps_invariants(case, picks):
     n = state.n
     for pick in picks:
         idx = pick % n
-        before_l1 = l1_norm(state)
-        before_ws = weighted_sum(state, n)
+        before_l1 = state.level_sum
+        before_ws = state.weighted_level_sum % n
         out = cell_increment(state, idx)
         if out.is_written:
-            assert l1_norm(state) == before_l1 + 1
-            assert weighted_sum(state, n) == (before_ws + idx) % n
+            assert state.level_sum == before_l1 + 1
+            assert state.weighted_level_sum % n == (before_ws + idx) % n
         else:
             assert out is ERASE_REQUIRED
-            assert l1_norm(state) == before_l1
+            assert state.level_sum == before_l1
         assert all(0 <= v <= q - 1 for v in state.levels)
 
 
