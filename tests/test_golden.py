@@ -2,10 +2,11 @@
 
 Each case reruns one command line and compares what it writes with the
 file of the same name under tests/golden/.  Together the cases cover
-both codes, the inline input law, CSV and JSON emission, every ballsbins
-placement path (d=1, d=2, d>2 and d >= n, in both modes, with m above
-the d=2 draw block) and the roundtrip report, so a refactor that keeps
-these files keeps the fixed-seed output contract.
+both codes (the load-balancing one up to GF(2^10), the field of a
+1024-cell block), the inline input law, CSV and JSON emission, every
+ballsbins placement path (d=1, d=2, d>2 and d >= n, in both modes,
+with m above the d=2 draw block) and the roundtrip report, so a
+refactor that keeps these files keeps the fixed-seed output contract.
 
 To regenerate a file after a deliberate output change, run its command
 line by hand, writing to the golden path, e.g.
@@ -28,6 +29,7 @@ FILE_CASES = {
     "simulate_sr_k3.csv": "simulate --code self-randomized --k 3 --q 2,4,8,16 --cycles 60 --seed 11",
     "simulate_lb_k3.csv": "simulate --code load-balancing --k 3 --q 2,4,8,16 --cycles 60 --seed 11",
     "simulate_lb_k4.json": "simulate --code load-balancing --k 4 --q 4,8 --cycles 20 --seed 12 --format json",
+    "simulate_lb_k9.csv": "simulate --code load-balancing --k 9 --q 4 --cycles 3 --seed 14",
     "simulate_sr_dist.csv": "simulate --code self-randomized --k 2 --q 4,8 --cycles 60 --seed 13 --dist 0.7,0.1,0.1,0.1",
     "simulate_lb_dist.csv": "simulate --code load-balancing --k 2 --q 4,8 --cycles 60 --seed 13 --dist 0.7,0.1,0.1,0.1",
     "overflow_n16.csv": "ballsbins --mode overflow --n 16 --q 2,4,8 --d 1,2,3,16 --trials 20 --seed 14",
