@@ -68,21 +68,13 @@ class LoadBalancingCode:
 
     kind = CodeKind.LOAD_BALANCING
 
-    def __init__(self, params: CodeParams, field: FieldSpec | None = None):
+    def __init__(self, params: CodeParams):
         if params.kind is not CodeKind.LOAD_BALANCING:
             raise ValueError(f"params describe a {params.kind.value} code")
-        m = params.k + 1  # log2(n) for the binary alphabet
-        if field is None:
-            field = FieldSpec(m)
-        elif field.m != m:
-            raise ValueError(f"field has m={field.m}, code needs m={m}")
         self.params = params
-        self.field = field
+        self.field = FieldSpec(params.k + 1)  # GF(n) for the binary alphabet
         self._n = params.n
         self._values = params.value_count
-        # the multiplier only takes values 1..max(2**k - 2 + 1, 1);
-        # caching their inverses keeps decode off the exponentiation path
-        self._inv = {a: gf_inv(field, a) for a in range(1, max(self._values - 1, 1) + 1)}
 
     def _scalars(self, r: int) -> tuple[int, int]:
         """Affine coefficients (a, b) for write count r; a is never 0."""
@@ -98,7 +90,7 @@ class LoadBalancingCode:
         r = state.level_sum
         raw = state.weighted_level_sum % self._n
         a, b = self._scalars(r)
-        return gf_mul(self.field, self._inv[a], raw ^ b) % self._values
+        return gf_mul(self.field, gf_inv(self.field, a), raw ^ b) % self._values
 
     def candidate_cells(self, state: CellState, value: int) -> list[int]:
         """Cells a write of value would choose among, in choice order."""
@@ -132,10 +124,8 @@ class LoadBalancingCode:
         return cell_increment(state, best)
 
 
-def make_code(params: CodeParams, field: FieldSpec | None = None):
+def make_code(params: CodeParams):
     """Build the code instance the params call for."""
     if params.kind is CodeKind.SELF_RANDOMIZED:
-        if field is not None:
-            raise ValueError("self-randomized codes take no field")
         return SelfRandomizedCode(params)
-    return LoadBalancingCode(params, field)
+    return LoadBalancingCode(params)

@@ -11,6 +11,8 @@ maintained incrementally so a read costs O(1) instead of O(n).
 from dataclasses import dataclass
 from enum import Enum
 
+from .field import DEFAULT_POLYS
+
 __all__ = [
     "CodeKind",
     "CodeParams",
@@ -22,6 +24,10 @@ __all__ = [
     "written",
     "cell_increment",
 ]
+
+#: log2 of the largest cell count, n = 2**24: the largest field GF(n) the
+#: load-balancing code can use, and a bound on what CellState allocates.
+MAX_LOG2_N = max(DEFAULT_POLYS)
 
 
 class CodeKind(Enum):
@@ -39,7 +45,7 @@ class CodeParams:
     binary alphabet l=2 is supported), q the number of charge levels per
     cell, and n the cell count.  n is tied to the kind: a self-randomized
     code uses n = l**k cells, a load-balancing code n = l**(k+1); pass
-    n=0 to derive it.
+    n=0 to derive it.  n may not exceed 2**MAX_LOG2_N.
     """
 
     k: int
@@ -58,6 +64,11 @@ class CodeParams:
         if not isinstance(self.kind, CodeKind):
             raise TypeError(f"kind must be a CodeKind, got {self.kind!r}")
         exponent = self.k if self.kind is CodeKind.SELF_RANDOMIZED else self.k + 1
+        if exponent > MAX_LOG2_N:  # l == 2, so this is n > 2**MAX_LOG2_N, tested before n is built
+            raise ValueError(
+                f"{self.kind.value} code with k={self.k} needs n=2^{exponent} cells, "
+                f"more than the limit 2^{MAX_LOG2_N}"
+            )
         expected = self.l**exponent
         if self.n == 0:
             object.__setattr__(self, "n", expected)

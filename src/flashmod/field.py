@@ -3,17 +3,20 @@
 A field element is an m-bit integer whose bits are the coefficients of a
 polynomial over GF(2).  The integer-to-element bijection used by the
 load-balancing code is therefore the identity map (and sends 0 to 0),
-which keeps traces reproducible.  Reduction uses a fixed irreducible
-polynomial per extension degree, overridable at construction.
+which keeps traces reproducible.  Reduction uses one fixed primitive
+polynomial per extension degree, and products and inverses are lookups
+in log/antilog tables built lazily per FieldSpec.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["FieldElem", "FieldSpec", "DEFAULT_POLYS", "gf_add", "gf_mul", "gf_inv"]
 
 FieldElem = int
 
-#: Conventional low-weight irreducible polynomials, degree -> bit mask.
+#: Conventional low-weight primitive polynomials, degree -> bit mask.
+#: Its keys are the supported extension degrees.
 DEFAULT_POLYS = {
     2: 0b111,  # x^2 + x + 1
     3: 0b1011,  # x^3 + x + 1
@@ -41,55 +44,56 @@ DEFAULT_POLYS = {
 }
 
 
-def _poly_mod(a: int, b: int) -> int:
-    """Remainder of carryless polynomial division of a by b (b != 0)."""
-    db = b.bit_length()
-    while a and a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
-def _smallest_factor(poly: int) -> int | None:
-    """Exhaustive trial division; returns a proper divisor or None.
-
-    Candidates run over every polynomial of degree 1..deg(poly)//2, which
-    stays cheap for degrees up to 24.
-    """
-    half = (poly.bit_length() - 1) // 2
-    for cand in range(2, 1 << (half + 1)):
-        if _poly_mod(poly, cand) == 0:
-            return cand
-    return None
-
-
 @dataclass(frozen=True)
 class FieldSpec:
-    """GF(2**m) described by its reduction polynomial.
+    """GF(2**m), reduced modulo the primitive polynomial DEFAULT_POLYS[m].
 
-    poly is the (m+1)-bit mask of a monic irreducible polynomial; leave
-    it 0 to pick the default for m.  Construction verifies the degree and
-    irreducibility, so any FieldSpec that exists is safe to share across
-    threads and all operations on it are pure.
+    Because the polynomial is primitive, x generates the multiplicative
+    group, so products and inverses are lookups in the exp (antilog) and
+    log tables.  Construction only checks m; the tables are built on the
+    first product or inverse.  The build is deterministic, so threads that
+    race on it store equal tables, and a FieldSpec is safe to share
+    across threads with all operations on it pure.
     """
 
     m: int
-    poly: int = 0
 
     def __post_init__(self):
-        if not 2 <= self.m <= 24:
-            raise ValueError(f"extension degree m must be in [2, 24], got {self.m}")
-        if self.poly == 0:
-            object.__setattr__(self, "poly", DEFAULT_POLYS[self.m])
-        if self.poly.bit_length() != self.m + 1:
-            raise ValueError(f"poly 0x{self.poly:x} does not have degree {self.m}")
-        factor = _smallest_factor(self.poly)
-        if factor is not None:
-            raise ValueError(f"poly 0x{self.poly:x} is reducible (divisible by 0b{factor:b})")
+        if self.m not in DEFAULT_POLYS:
+            raise ValueError(
+                f"extension degree m must be in [{min(DEFAULT_POLYS)}, {max(DEFAULT_POLYS)}], got {self.m}"
+            )
+
+    @property
+    def poly(self) -> int:
+        """(m+1)-bit mask of the reduction polynomial."""
+        return DEFAULT_POLYS[self.m]
 
     @property
     def order(self) -> int:
         """Number of field elements, 2**m."""
         return 1 << self.m
+
+    @cached_property
+    def exp(self) -> list[int]:
+        """exp[i] = x**i, for i in [0, 2*(order-1)), so a sum of two logs needs no reduction."""
+        top, poly = self.order, self.poly
+        exp = []
+        a = 1
+        for _ in range(top - 1):
+            exp.append(a)
+            a <<= 1
+            if a & top:
+                a ^= poly
+        return exp + exp
+
+    @cached_property
+    def log(self) -> list[int]:
+        """log[a] = i with x**i = a, for a != 0; log[0] is unused."""
+        log = [0] * self.order
+        for i, a in enumerate(self.exp[: self.order - 1]):
+            log[a] = i
+        return log
 
 
 def _check_elem(spec: FieldSpec, a: int) -> None:
@@ -105,37 +109,18 @@ def gf_add(spec: FieldSpec, a: FieldElem, b: FieldElem) -> FieldElem:
 
 
 def gf_mul(spec: FieldSpec, a: FieldElem, b: FieldElem) -> FieldElem:
-    """Field product: carryless shift-xor multiply reduced mod spec.poly."""
+    """Field product: x**(log a + log b), with 0 absorbing."""
     _check_elem(spec, a)
     _check_elem(spec, b)
-    poly = spec.poly
-    top = 1 << spec.m
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= poly
-    return acc
+    if a == 0 or b == 0:
+        return 0
+    log = spec.log
+    return spec.exp[log[a] + log[b]]
 
 
 def gf_inv(spec: FieldSpec, a: FieldElem) -> FieldElem:
-    """Multiplicative inverse via exponentiation to 2**m - 2.
-
-    Square-and-multiply keeps this branch-free over the element value;
-    a = 0 has no inverse and raises ZeroDivisionError.
-    """
+    """Multiplicative inverse x**(order - 1 - log a); 0 raises ZeroDivisionError."""
     _check_elem(spec, a)
     if a == 0:
         raise ZeroDivisionError("0 is not invertible in a field")
-    result = 1
-    base = a
-    exp = (1 << spec.m) - 2
-    while exp:
-        if exp & 1:
-            result = gf_mul(spec, result, base)
-        base = gf_mul(spec, base, base)
-        exp >>= 1
-    return result
+    return spec.exp[spec.order - 1 - spec.log[a]]

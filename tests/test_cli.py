@@ -4,7 +4,7 @@ import json
 import pytest
 
 from flashmod.cli import SIMULATE_COLUMNS, emit_records, run_cli
-from flashmod.core import CodeKind, CodeParams
+from flashmod.core import CellState, CodeKind, CodeParams
 from flashmod.sim import DistributionSpec, run_experiment
 
 
@@ -69,11 +69,22 @@ def test_simulate_csv_and_json_carry_equal_values(tmp_path):
                 assert float(cell) == value
 
 
-def test_simulate_rejects_bad_q(tmp_path):
+def test_simulate_rejects_bad_q(tmp_path, monkeypatch, capsys):
     rc = run_cli(["simulate", "--k", "2", "--q", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     rc = run_cli(["simulate", "--k", "2", "--q", "abc", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+    def no_cells(*args):
+        raise AssertionError("cells were allocated before the size check")
+
+    monkeypatch.setattr(CellState, "zeros", no_cells)
+    capsys.readouterr()
+    # n above 2^24 cells is a usage error, raised before any allocation
+    for code, k in (("self-randomized", "25"), ("self-randomized", "40"), ("load-balancing", "24")):
+        assert run_cli(["simulate", "--code", code, "--k", k, "--q", "4", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "2^24" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_dist_file(tmp_path):

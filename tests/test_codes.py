@@ -11,7 +11,6 @@ from flashmod.core import (
     CodeParams,
     WriteKind,
 )
-from flashmod.field import FieldSpec
 
 
 def sr_params(k, q):
@@ -29,8 +28,6 @@ def test_make_code_dispatch():
         SelfRandomizedCode(lb_params(2, 4))
     with pytest.raises(ValueError):
         LoadBalancingCode(sr_params(2, 4))
-    with pytest.raises(ValueError):
-        make_code(lb_params(2, 4), field=FieldSpec(5))  # needs m = k+1 = 3
 
 
 class TestSelfRandomized:

@@ -92,7 +92,11 @@ def test_state_validation():
         CellState.zeros(0, 4)
 
 
-def test_params_derive_and_validate_n():
+def test_params_derive_and_validate_n(monkeypatch):
+    def no_cells(*args):
+        raise AssertionError("cells were allocated")
+
+    monkeypatch.setattr(CellState, "zeros", no_cells)
     sr = CodeParams(k=3, l=2, q=8, kind=CodeKind.SELF_RANDOMIZED)
     assert sr.n == 8 and sr.value_count == 8 and sr.total_levels == 56
     lb = CodeParams(k=3, l=2, q=8, kind=CodeKind.LOAD_BALANCING)
@@ -106,6 +110,12 @@ def test_params_derive_and_validate_n():
         CodeParams(k=2, l=3, q=4, kind=CodeKind.SELF_RANDOMIZED)
     with pytest.raises(ValueError):
         CodeParams(k=2, l=2, q=1, kind=CodeKind.SELF_RANDOMIZED)
+    # n is capped at 2^24, the largest field the load-balancing code can use
+    assert CodeParams(k=24, l=2, q=2, kind=CodeKind.SELF_RANDOMIZED).n == 1 << 24
+    assert CodeParams(k=23, l=2, q=2, kind=CodeKind.LOAD_BALANCING).n == 1 << 24
+    for k, kind in ((25, CodeKind.SELF_RANDOMIZED), (24, CodeKind.LOAD_BALANCING), (10**9, CodeKind.SELF_RANDOMIZED)):
+        with pytest.raises(ValueError, match="2\\^24"):
+            CodeParams(k=k, l=2, q=4, kind=kind)
 
 
 def test_outcome_shapes():

