@@ -64,7 +64,7 @@ class CodeParams:
         if not isinstance(self.kind, CodeKind):
             raise TypeError(f"kind must be a CodeKind, got {self.kind!r}")
         exponent = self.k if self.kind is CodeKind.SELF_RANDOMIZED else self.k + 1
-        if exponent > MAX_LOG2_N:  # l == 2, so this is n > 2**MAX_LOG2_N, tested before n is built
+        if exponent > MAX_LOG2_N:  # with l == 2 this is n > 2**MAX_LOG2_N, checked before l**exponent
             raise ValueError(
                 f"{self.kind.value} code with k={self.k} needs n=2^{exponent} cells, "
                 f"more than the limit 2^{MAX_LOG2_N}"
