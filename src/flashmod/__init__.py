@@ -9,74 +9,13 @@ analytic predictions the codes are measured against, and sim drives full
 erasure-cycle experiments.
 """
 
-from .ballsbins import (
-    LoadRegime,
-    RegimePrediction,
-    balls_until_overflow,
-    collision_bound,
-    lambert_w0,
-    max_load_prediction,
-    solve_dc,
-    throw_balls,
-)
-from .codes import LoadBalancingCode, SelfRandomizedCode, make_code
-from .core import (
-    ERASE_REQUIRED,
-    NOOP,
-    CellState,
-    CodeKind,
-    CodeParams,
-    WriteKind,
-    WriteOutcome,
-    cell_increment,
-    written,
-)
-from .field import DEFAULT_POLYS, FieldSpec, gf_add, gf_inv, gf_mul
-from .sim import (
-    CycleStats,
-    DistributionSpec,
-    ExperimentStats,
-    cycle_rng,
-    gamma_upper_bounds,
-    min_of_n_expectation,
-    run_cycle,
-    run_experiment,
-)
+from . import ballsbins, codes, core, field, sim
+from .ballsbins import *
+from .codes import *
+from .core import *
+from .field import *
+from .sim import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CodeKind",
-    "CodeParams",
-    "CellState",
-    "WriteKind",
-    "WriteOutcome",
-    "NOOP",
-    "ERASE_REQUIRED",
-    "written",
-    "cell_increment",
-    "FieldSpec",
-    "DEFAULT_POLYS",
-    "gf_add",
-    "gf_mul",
-    "gf_inv",
-    "SelfRandomizedCode",
-    "LoadBalancingCode",
-    "make_code",
-    "LoadRegime",
-    "RegimePrediction",
-    "throw_balls",
-    "balls_until_overflow",
-    "collision_bound",
-    "max_load_prediction",
-    "solve_dc",
-    "lambert_w0",
-    "DistributionSpec",
-    "CycleStats",
-    "ExperimentStats",
-    "cycle_rng",
-    "run_cycle",
-    "run_experiment",
-    "gamma_upper_bounds",
-    "min_of_n_expectation",
-]
+__all__ = [*core.__all__, *field.__all__, *codes.__all__, *ballsbins.__all__, *sim.__all__]

@@ -1,8 +1,10 @@
 """Command line front end: sweeps, analytic queries, CSV/JSON emission.
 
 Exit codes: 0 on success, 2 on flag or configuration errors, 1 on
-runtime failures.  When --seed is omitted the FLASHMOD_SEED environment
-variable is used, and failing that, seed 0.
+runtime failures.  Each flag's domain is stated once, by its argparse
+type, so a value outside it exits 2 before any work starts.  --seed
+defaults to the FLASHMOD_SEED environment variable, then to 0; that
+default passes through the same type check as the flag.
 """
 
 import argparse
@@ -40,12 +42,6 @@ SIMULATE_COLUMNS = (
 
 MAXLOAD_COLUMNS = ("mode", "n", "m", "d", "trials", "mean_max_load", "predicted_max_load", "seed")
 OVERFLOW_COLUMNS = ("mode", "n", "q", "d", "trials", "mean_rewrites", "eta_oracle", "seed")
-
-_CODE_NAMES = {
-    "self-randomized": CodeKind.SELF_RANDOMIZED,
-    "load-balancing": CodeKind.LOAD_BALANCING,
-}
-
 
 class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
@@ -103,28 +99,32 @@ def emit_records(stats, fmt: str, path: str) -> None:
     _emit(rows, SIMULATE_COLUMNS, fmt, path)
 
 
-def _int_list(text: str, name: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise UsageError(f"{name} must be a comma-separated list of integers, got {text!r}") from None
-    if not values:
-        raise UsageError(f"{name} list is empty")
-    return values
+def _at_least(minimum: int):
+    """argparse type: one integer >= minimum."""
 
-
-def _resolve_seed(flag_value) -> int:
-    if flag_value is None:
-        env = os.environ.get("FLASHMOD_SEED")
-        if env is None:
-            return 0
+    def parse(text: str) -> int:
         try:
-            flag_value = int(env)
+            value = int(text)
         except ValueError:
-            raise UsageError(f"FLASHMOD_SEED must be an integer, got {env!r}") from None
-    if flag_value < 0:
-        raise UsageError(f"seed must be non-negative, got {flag_value}")
-    return flag_value
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _list_of(minimum: int):
+    """argparse type: a non-empty comma list of integers, each >= minimum."""
+    item = _at_least(minimum)
+
+    def parse(text: str) -> list[int]:
+        values = [item(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list of integers, got {text!r}")
+        return values
+
+    return parse
 
 
 def _load_dist(spec: str | None, size: int) -> DistributionSpec:
@@ -165,28 +165,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Flash modulation code experiments and balls-into-bins analytics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    codes = sorted(kind.value for kind in CodeKind)
 
-    sim = sub.add_parser("simulate", help="sweep q for one code and record eta/gamma")
-    sim.add_argument("--code", choices=sorted(_CODE_NAMES), default="self-randomized")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
+        "--seed",
+        type=_at_least(0),
+        default=os.environ.get("FLASHMOD_SEED", "0"),
+        help="master seed (default: $FLASHMOD_SEED, then 0)",
+    )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", required=True, help="output file")
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    sim = sub.add_parser("simulate", parents=[seeded, output], help="sweep q for one code and record eta/gamma")
+    sim.add_argument("--code", choices=codes, default="self-randomized")
     sim.add_argument("--k", type=int, required=True, help="variables per group")
-    sim.add_argument("--l", type=int, default=2, help="alphabet size (only 2)")
-    sim.add_argument("--q", required=True, help="comma-separated q sweep, e.g. 2,4,8,16,32")
-    sim.add_argument("--cycles", type=int, default=1000, help="erasure cycles per sweep point")
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--q", type=_list_of(2), required=True, help="comma-separated q sweep, e.g. 2,4,8,16,32")
+    sim.add_argument("--cycles", type=_at_least(1), default=1000, help="erasure cycles per sweep point")
     sim.add_argument("--dist", default=None, help="input law: file (one prob per line) or inline p0,p1,...")
-    sim.add_argument("--out", required=True, help="output file")
-    sim.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    balls = sub.add_parser("ballsbins", help="d-choice random loading sweeps")
+    balls = sub.add_parser("ballsbins", parents=[seeded, output], help="d-choice random loading sweeps")
     balls.add_argument("--mode", choices=("maxload", "overflow"), default="maxload")
-    balls.add_argument("--n", type=int, required=True, help="bins")
-    balls.add_argument("--m", type=int, default=None, help="balls per trial (maxload mode)")
-    balls.add_argument("--q", default=None, help="comma-separated level counts (overflow mode)")
-    balls.add_argument("--d", default="1", help="comma-separated choice counts, e.g. 1,2")
-    balls.add_argument("--trials", type=int, default=100)
-    balls.add_argument("--seed", type=int, default=None)
-    balls.add_argument("--out", required=True, help="output file")
-    balls.add_argument("--format", choices=("csv", "json"), default="csv")
+    balls.add_argument("--n", type=_at_least(1), required=True, help="bins")
+    balls.add_argument("--m", type=_at_least(1), default=None, help="balls per trial (maxload mode)")
+    balls.add_argument("--q", type=_list_of(2), default=None, help="comma-separated level counts (overflow mode)")
+    balls.add_argument("--d", type=_list_of(1), default="1", help="comma-separated choice counts, e.g. 1,2")
+    balls.add_argument("--trials", type=_at_least(1), default=100)
 
     bounds = sub.add_parser("bounds", help="evaluate the analytic formulas")
     bounds.add_argument("--gamma-bounds", metavar="K,L", help="storage efficiency ceilings")
@@ -195,91 +200,64 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--dc", type=float, metavar="C", help="largest root scaling the c*n*ln(n) regime")
     bounds.add_argument("--lambertw", type=float, metavar="X", help="principal Lambert W at X")
 
-    rt = sub.add_parser("roundtrip", help="random-write decodability check")
-    rt.add_argument("--code", choices=("both", *sorted(_CODE_NAMES)), default="both")
-    rt.add_argument("--k", default="1,2,3", help="comma-separated k values")
-    rt.add_argument("--q", default="4,8,16", help="comma-separated q values")
-    rt.add_argument("--writes", type=int, default=10000, help="writes per (code, k, q) point")
-    rt.add_argument("--seed", type=int, default=None)
+    rt = sub.add_parser("roundtrip", parents=[seeded], help="random-write decodability check")
+    rt.add_argument("--code", choices=("both", *codes), default="both")
+    rt.add_argument("--k", type=_list_of(1), default="1,2,3", help="comma-separated k values")
+    rt.add_argument("--q", type=_list_of(2), default="4,8,16", help="comma-separated q values")
+    rt.add_argument("--writes", type=_at_least(1), default=10000, help="writes per (code, k, q) point")
 
     return parser
 
 
 def _cmd_simulate(args) -> int:
-    kind = _CODE_NAMES[args.code]
-    q_values = _int_list(args.q, "q")
-    if any(q < 2 for q in q_values):
-        raise UsageError("q values must be >= 2")
-    if args.cycles < 1:
-        raise UsageError("cycles must be >= 1")
-    seed = _resolve_seed(args.seed)
     try:
-        params_list = [CodeParams(k=args.k, l=args.l, q=q, kind=kind) for q in q_values]
+        params_list = [CodeParams(k=args.k, l=2, q=q, kind=CodeKind(args.code)) for q in args.q]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     dist = _load_dist(args.dist, params_list[0].value_count)
-    stats = [run_experiment(p, dist, args.cycles, seed) for p in params_list]
+    stats = [run_experiment(p, dist, args.cycles, args.seed) for p in params_list]
     emit_records(stats, args.format, args.out)
     return 0
 
 
 def _cmd_ballsbins(args) -> int:
-    if args.n < 1:
-        raise UsageError("n must be >= 1")
-    if args.trials < 1:
-        raise UsageError("trials must be >= 1")
-    d_values = _int_list(args.d, "d")
-    if any(d < 1 for d in d_values):
-        raise UsageError("d values must be >= 1")
-    seed = _resolve_seed(args.seed)
+    def trial_mean(sweep_index: int, trial) -> float:
+        first = sweep_index * args.trials
+        return sum(trial(cycle_rng(args.seed, first + t)) for t in range(args.trials)) / args.trials
+
+    shared = {"mode": args.mode, "n": args.n, "trials": args.trials, "seed": args.seed}
     rows = []
     if args.mode == "maxload":
-        if args.m is None or args.m < 1:
-            raise UsageError("maxload mode needs --m >= 1")
+        if args.m is None:
+            raise UsageError("maxload mode needs --m")
         try:  # configuration errors surface before any trial runs
-            predictions = [max_load_prediction(args.n, args.m, d) for d in d_values]
+            predictions = [max_load_prediction(args.n, args.m, d) for d in args.d]
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        for sweep_index, (d, prediction) in enumerate(zip(d_values, predictions)):
-            total = 0
-            for t in range(args.trials):
-                rng = cycle_rng(seed, sweep_index * args.trials + t)
-                total += int(throw_balls(args.n, args.m, d, rng).max())
+        for sweep_index, (d, prediction) in enumerate(zip(args.d, predictions)):
+            mean_max_load = trial_mean(sweep_index, lambda rng: int(throw_balls(args.n, args.m, d, rng).max()))
             rows.append(
                 {
-                    "mode": "maxload",
-                    "n": args.n,
+                    **shared,
                     "m": args.m,
                     "d": d,
-                    "trials": args.trials,
-                    "mean_max_load": total / args.trials,
+                    "mean_max_load": mean_max_load,
                     "predicted_max_load": prediction.predicted_max_load,
-                    "seed": seed,
                 }
             )
         _emit(rows, MAXLOAD_COLUMNS, args.format, args.out)
         return 0
     if args.q is None:
         raise UsageError("overflow mode needs --q")
-    q_values = _int_list(args.q, "q")
-    if any(q < 2 for q in q_values):
-        raise UsageError("q values must be >= 2")
-    for sweep_index, (q, d) in enumerate((q, d) for q in q_values for d in d_values):
-        total = 0
-        for t in range(args.trials):
-            rng = cycle_rng(seed, sweep_index * args.trials + t)
-            total += balls_until_overflow(args.n, q, d, rng)
-        mean_rewrites = total / args.trials
+    for sweep_index, (q, d) in enumerate((q, d) for q in args.q for d in args.d):
+        mean_rewrites = trial_mean(sweep_index, lambda rng: balls_until_overflow(args.n, q, d, rng))
         rows.append(
             {
-                "mode": "overflow",
-                "n": args.n,
+                **shared,
                 "q": q,
                 "d": d,
-                "trials": args.trials,
                 "mean_rewrites": mean_rewrites,
                 "eta_oracle": 1.0 - mean_rewrites / (args.n * (q - 1)),
-                "seed": seed,
             }
         )
     _emit(rows, OVERFLOW_COLUMNS, args.format, args.out)
@@ -323,9 +301,8 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _roundtrip_point(kind: CodeKind, k: int, q: int, writes: int, seed: int, stream: int) -> int:
+def _roundtrip_point(params: CodeParams, writes: int, seed: int, stream: int) -> int:
     """Random writes with a decode check after each one; returns failures."""
-    params = CodeParams(k=k, l=2, q=q, kind=kind)
     code = make_code(params)
     rng = cycle_rng(seed, stream)
     state = CellState.zeros(params.n, params.q)
@@ -347,26 +324,16 @@ def _roundtrip_point(kind: CodeKind, k: int, q: int, writes: int, seed: int, str
 
 
 def _cmd_roundtrip(args) -> int:
-    if args.writes < 1:
-        raise UsageError("writes must be >= 1")
-    k_values = _int_list(args.k, "k")
-    q_values = _int_list(args.q, "q")
-    if any(q < 2 for q in q_values):
-        raise UsageError("q values must be >= 2")
-    seed = _resolve_seed(args.seed)
-    names = sorted(_CODE_NAMES) if args.code == "both" else [args.code]
+    names = sorted(kind.value for kind in CodeKind) if args.code == "both" else [args.code]
+    try:  # every point is configured before the first one runs or prints
+        points = [CodeParams(k=k, l=2, q=q, kind=CodeKind(name)) for name in names for k in args.k for q in args.q]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     total_failures = 0
-    stream = 0
-    for name in names:
-        for k in k_values:
-            for q in q_values:
-                try:
-                    failures = _roundtrip_point(_CODE_NAMES[name], k, q, args.writes, seed, stream)
-                except ValueError as exc:
-                    raise UsageError(str(exc)) from None
-                stream += 1
-                total_failures += failures
-                print(f"roundtrip code={name} k={k} q={q} writes={args.writes}: failures={failures}")
+    for stream, params in enumerate(points):
+        failures = _roundtrip_point(params, args.writes, args.seed, stream)
+        total_failures += failures
+        print(f"roundtrip code={params.kind.value} k={params.k} q={params.q} writes={args.writes}: failures={failures}")
     verdict = "PASS" if total_failures == 0 else "FAIL"
     print(f"roundtrip total failures: {total_failures} [{verdict}]")
     return 0 if total_failures == 0 else 1

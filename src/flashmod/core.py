@@ -8,7 +8,7 @@ the plain level sum and the index-weighted level sum, and both are
 maintained incrementally so a read costs O(1) instead of O(n).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .field import DEFAULT_POLYS
@@ -42,17 +42,17 @@ class CodeParams:
     """Static configuration of one n-cell code instance.
 
     k is the number of stored variables, l the alphabet size (only the
-    binary alphabet l=2 is supported), q the number of charge levels per
-    cell, and n the cell count.  n is tied to the kind: a self-randomized
-    code uses n = l**k cells, a load-balancing code n = l**(k+1); pass
-    n=0 to derive it.  n may not exceed 2**MAX_LOG2_N.
+    binary alphabet l=2 is supported) and q the number of charge levels
+    per cell.  The cell count n is derived, never passed: a
+    self-randomized code uses n = l**k cells, a load-balancing code
+    n = l**(k+1).  n may not exceed 2**MAX_LOG2_N.
     """
 
     k: int
     l: int
     q: int
     kind: CodeKind
-    n: int = 0
+    n: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -69,14 +69,7 @@ class CodeParams:
                 f"{self.kind.value} code with k={self.k} needs n=2^{exponent} cells, "
                 f"more than the limit 2^{MAX_LOG2_N}"
             )
-        expected = self.l**exponent
-        if self.n == 0:
-            object.__setattr__(self, "n", expected)
-        elif self.n != expected:
-            raise ValueError(
-                f"{self.kind.value} code with k={self.k}, l={self.l} "
-                f"needs n={expected} cells, got n={self.n}"
-            )
+        object.__setattr__(self, "n", self.l**exponent)
 
     @property
     def value_count(self) -> int:
@@ -170,9 +163,6 @@ class CellState:
     @property
     def max_level(self) -> int:
         return max(self.levels)
-
-    def copy(self) -> "CellState":
-        return CellState(self.levels, self.q)
 
     def __repr__(self):
         return f"CellState(levels={self.levels!r}, q={self.q})"

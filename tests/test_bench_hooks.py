@@ -1,17 +1,21 @@
-"""The benchmark's trace mode still finds the names it patches.
+"""The benchmark still finds the flashmod names it uses.
 
-bench/tracing.py wraps flashmod names from outside the package.  A
-refactor that drops or renames one of them would crash trace mode, or
-leave a layer uncounted, without any other test going red.
+bench/tracing.py wraps flashmod names from outside the package, and
+bench/run.py times a set-up snippet that builds each workload's codes
+in a fresh interpreter.  A refactor that drops or renames a name or a
+constructor argument they use would crash the benchmark, or leave a
+layer uncounted, without any other test going red.
 """
 
 from pathlib import Path
 
 from flashmod.cli import run_cli
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
 
 def test_trace_mode_counts_every_patched_layer(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 
     tracer = tracing.Tracer()
@@ -25,3 +29,13 @@ def test_trace_mode_counts_every_patched_layer(tmp_path, monkeypatch):
     metrics = tracing.pass_metrics(tracer)
     for name in ("field.gf_mul.calls", "codes.encode.calls", "core.cell_increment.calls"):
         assert metrics[name] > 0, name
+
+
+def test_setup_snippet_builds_every_workload_code(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+
+    for workload in run.WORKLOADS.values():
+        snippet = run.SETUP_CHILD.format(src=str(run.SRC), specs=workload.code_specs())
+        seconds = run.setup_run(snippet)
+        assert isinstance(seconds, float) and seconds > 0, workload.name

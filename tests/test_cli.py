@@ -22,8 +22,6 @@ def test_simulate_sweep_writes_one_row_per_q(tmp_path):
             "self-randomized",
             "--k",
             "3",
-            "--l",
-            "2",
             "--q",
             "2,4,8,16,32",
             "--cycles",
@@ -84,6 +82,7 @@ def test_simulate_rejects_bad_q(tmp_path, monkeypatch, capsys):
     for code, k in (("self-randomized", "25"), ("self-randomized", "40"), ("load-balancing", "24")):
         assert run_cli(["simulate", "--code", code, "--k", k, "--q", "4", "--out", str(tmp_path / "x.csv")]) == 2
         assert "2^24" in capsys.readouterr().err
+    assert run_cli(["simulate", "--k", "2", "--q", "4", "--cycles", "0", "--out", str(tmp_path / "x.csv")]) == 2
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -139,8 +138,17 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
     assert run_cli(base + ["--seed", "99", "--out", str(out3)]) == 0
     assert out1.read_bytes() == out3.read_bytes()  # flag and env agree
-    monkeypatch.setenv("FLASHMOD_SEED", "not-a-number")
-    assert run_cli(base + ["--out", str(out1)]) == 2
+
+    def no_runs(*args):
+        raise AssertionError("a cycle ran before the seed check")
+
+    monkeypatch.setattr("flashmod.cli.run_experiment", no_runs)
+    bad = tmp_path / "bad.csv"
+    assert run_cli(base + ["--seed", "-1", "--out", str(bad)]) == 2
+    for env in ("not-a-number", "-1"):
+        monkeypatch.setenv("FLASHMOD_SEED", env)
+        assert run_cli(base + ["--out", str(bad)]) == 2
+    assert not bad.exists()
 
 
 def test_emit_records_empty_and_single(tmp_path):
@@ -202,6 +210,17 @@ def test_roundtrip_command(capsys):
     assert "[PASS]" in out
 
 
+def test_roundtrip_configuration_errors_print_nothing(capsys):
+    for argv in (
+        "roundtrip --code self-randomized --k 1,0 --q 4 --writes 10",
+        "roundtrip --code both --k 2,24 --q 4 --writes 10",  # load-balancing k=24 needs 2^25 cells
+        "roundtrip --k 1 --q 4 --writes 0",
+        "roundtrip --k 1 --q 1,4 --writes 10",
+    ):
+        assert run_cli(argv.split()) == 2, argv
+        assert capsys.readouterr().out == "", argv
+
+
 def test_ballsbins_maxload_rows(tmp_path):
     out = tmp_path / "loads.csv"
     rc = run_cli(
@@ -238,6 +257,10 @@ def test_ballsbins_flag_validation(tmp_path, monkeypatch):
     assert run_cli(["ballsbins", "--mode", "overflow", "--n", "10", "--q", "1", "--out", out]) == 2
     # the max-load prediction needs n >= 3
     assert run_cli(["ballsbins", "--mode", "maxload", "--n", "2", "--m", "4", "--d", "1,2", "--out", out]) == 2
+    maxload = ["ballsbins", "--mode", "maxload", "--n", "10", "--m", "10", "--out", out]
+    for flags in (["--trials", "0"], ["--n", "0"], ["--d", "0"], ["--d", "1,0"], ["--m", "0"], ["--seed", "-1"]):
+        assert run_cli(maxload + flags) == 2, flags
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_unwritable_output_is_runtime_failure(tmp_path):

@@ -101,9 +101,8 @@ def test_params_derive_and_validate_n(monkeypatch):
     assert sr.n == 8 and sr.value_count == 8 and sr.total_levels == 56
     lb = CodeParams(k=3, l=2, q=8, kind=CodeKind.LOAD_BALANCING)
     assert lb.n == 16
-    assert CodeParams(k=2, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED, n=4).n == 4
-    with pytest.raises(ValueError):
-        CodeParams(k=2, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED, n=8)
+    with pytest.raises(TypeError):  # n is derived, not a constructor argument
+        CodeParams(k=2, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED, n=4)
     with pytest.raises(ValueError):
         CodeParams(k=0, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED)
     with pytest.raises(ValueError):
