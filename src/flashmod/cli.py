@@ -154,9 +154,12 @@ def _load_dist(spec: str | None, size: int) -> DistributionSpec:
     if len(probs) != size:
         raise UsageError(f"distribution has {len(probs)} entries, need {size}")
     try:
-        return DistributionSpec(probs)
+        dist = DistributionSpec(probs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if dist.support_size < 2:  # a cycle under a point mass never reaches an erase
+        raise UsageError("distribution needs >= 2 values with positive probability")
+    return dist
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,6 +233,8 @@ def _cmd_ballsbins(args) -> int:
     if args.mode == "maxload":
         if args.m is None:
             raise UsageError("maxload mode needs --m")
+        if args.q is not None:
+            raise UsageError("maxload mode takes no --q")
         try:  # configuration errors surface before any trial runs
             predictions = [max_load_prediction(args.n, args.m, d) for d in args.d]
         except ValueError as exc:
@@ -249,6 +254,8 @@ def _cmd_ballsbins(args) -> int:
         return 0
     if args.q is None:
         raise UsageError("overflow mode needs --q")
+    if args.m is not None:
+        raise UsageError("overflow mode takes no --m")
     for sweep_index, (q, d) in enumerate((q, d) for q in args.q for d in args.d):
         mean_rewrites = trial_mean(sweep_index, lambda rng: balls_until_overflow(args.n, q, d, rng))
         rows.append(

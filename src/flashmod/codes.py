@@ -13,6 +13,13 @@ from .field import FieldSpec, gf_inv, gf_mul
 __all__ = ["SelfRandomizedCode", "LoadBalancingCode", "make_code"]
 
 
+def _mismatch(state: CellState, params: CodeParams) -> ValueError:
+    """The error for a state whose cell count or level count is not the code's."""
+    if state.n != params.n:
+        return ValueError(f"state has {state.n} cells, code needs {params.n}")
+    return ValueError(f"state has q={state.q}, code needs q={params.q}")
+
+
 class SelfRandomizedCode:
     """Stores a value in 0..2**k-1 using n = 2**k cells.
 
@@ -31,28 +38,30 @@ class SelfRandomizedCode:
         self.params = params
         self._mod = params.value_count
 
-    def decode(self, state: CellState) -> int:
-        """Value currently stored; a function of the state alone."""
-        if state.n != self.params.n:
-            raise ValueError(f"state has {state.n} cells, code needs {self.params.n}")
-        r = state.level_sum
-        s = state.weighted_level_sum % self._mod
+    def _stored(self, r: int, s: int) -> int:
+        """Value held by a state with level sum r and index-weighted sum s."""
         # r(r+1)/2 is computed in full precision before the reduction
         return (s - r * (r + 1) // 2) % self._mod
+
+    def decode(self, state: CellState) -> int:
+        """Value currently stored; a function of the state alone."""
+        if len(state.levels) != self._mod:
+            raise _mismatch(state, self.params)
+        return self._stored(state.level_sum, state.weighted_level_sum)
 
     def encode(self, state: CellState, value: int) -> WriteOutcome:
         """Store value, incrementing at most one cell."""
         mod = self._mod
         if not 0 <= value < mod:
             raise ValueError(f"value {value} outside [0, {mod})")
-        if state.q != self.params.q:
-            raise ValueError(f"state has q={state.q}, code needs q={self.params.q}")
-        current = self.decode(state)
+        if state.q != self.params.q or len(state.levels) != mod:
+            raise _mismatch(state, self.params)
+        r = state.level_sum
+        current = self._stored(r, state.weighted_level_sum)
         if current == value:
             return NOOP
-        delta = (value - current) % mod
-        target = (delta + state.level_sum + 1) % mod
-        return cell_increment(state, target)
+        # the cell (value - current) + r + 1 moves both sums onto value
+        return cell_increment(state, (value - current + r + 1) % mod)
 
 
 class LoadBalancingCode:
@@ -64,6 +73,12 @@ class LoadBalancingCode:
     one candidate cell, and the less charged candidate is incremented.
     Charge therefore spreads like two-random-choice ball throwing while
     the value stays decodable from the state alone.
+
+    Write count r uses the map v -> a_r*v + b_r with a_r = r mod (2**k - 1)
+    + 1, never 0, and b_r = r mod 2**k.  A state with level sum r and
+    index-weighted sum w (mod n) stores a_r^-1 * (w + b_r) mod 2**k; the
+    candidates of write r for value x are a_r*x + b_r - w and
+    a_r*(x + 2**k) + b_r - w (mod n).
     """
 
     kind = CodeKind.LOAD_BALANCING
@@ -76,52 +91,52 @@ class LoadBalancingCode:
         self._n = params.n
         self._values = params.value_count
 
-    def _scalars(self, r: int) -> tuple[int, int]:
-        """Affine coefficients (a, b) for write count r; a is never 0."""
+    def _stored(self, r: int, raw: int) -> int:
+        """Value held by a state with level sum r and index-weighted sum raw (mod n)."""
         values = self._values
-        a = r % (values - 1) + 1 if values > 2 else 1
+        a = r % (values - 1) + 1
+        return gf_mul(self.field, gf_inv(self.field, a), raw ^ (r % values)) & (values - 1)
+
+    def _candidates(self, r: int, value: int, raw: int) -> tuple[int, int]:
+        """The two cells write r may raise to store value, in choice order."""
+        values = self._values
+        field = self.field
+        exp, log = field.exp, field.log
+        # both images share the factor a_r, so its log is looked up once
+        la = log[r % (values - 1) + 1]
         b = r % values
-        return a, b
+        first = (exp[la + log[value]] if value else 0) ^ b
+        second = exp[la + log[value | values]] ^ b
+        return (first - raw) % self._n, (second - raw) % self._n
 
     def decode(self, state: CellState) -> int:
         """Value currently stored; a function of the state alone."""
-        if state.n != self._n:
-            raise ValueError(f"state has {state.n} cells, code needs {self._n}")
-        r = state.level_sum
-        raw = state.weighted_level_sum % self._n
-        a, b = self._scalars(r)
-        return gf_mul(self.field, gf_inv(self.field, a), raw ^ b) % self._values
+        n = self._n
+        if len(state.levels) != n:
+            raise _mismatch(state, self.params)
+        return self._stored(state.level_sum, state.weighted_level_sum % n)
 
     def candidate_cells(self, state: CellState, value: int) -> list[int]:
         """Cells a write of value would choose among, in choice order."""
-        r = state.level_sum + 1
-        a, b = self._scalars(r)
-        raw = state.weighted_level_sum % self._n
-        field = self.field
-        values = self._values
-        cells = []
-        for i in range(self.params.l):
-            image = gf_mul(field, a, value + i * values) ^ b
-            cells.append((image - raw) % self._n)
-        return cells
-
-    def encode(self, state: CellState, value: int) -> WriteOutcome:
-        """Store value on the least charged of its candidate cells."""
         if not 0 <= value < self._values:
             raise ValueError(f"value {value} outside [0, {self._values})")
-        if state.q != self.params.q:
-            raise ValueError(f"state has q={state.q}, code needs q={self.params.q}")
-        if self.decode(state) == value:
+        return list(self._candidates(state.level_sum + 1, value, state.weighted_level_sum % self._n))
+
+    def encode(self, state: CellState, value: int) -> WriteOutcome:
+        """Store value on the less charged of its two candidate cells."""
+        n = self._n
+        if not 0 <= value < self._values:
+            raise ValueError(f"value {value} outside [0, {self._values})")
+        if state.q != self.params.q or len(state.levels) != n:
+            raise _mismatch(state, self.params)
+        r = state.level_sum
+        raw = state.weighted_level_sum % n
+        if self._stored(r, raw) == value:
             return NOOP
+        first, second = self._candidates(r + 1, value, raw)
         levels = state.levels
-        best = -1
-        best_level = None
-        # ties go to the lowest choice index, which keeps runs reproducible
-        for cell in self.candidate_cells(state, value):
-            lv = levels[cell]
-            if best_level is None or lv < best_level:
-                best, best_level = cell, lv
-        return cell_increment(state, best)
+        # ties go to the first candidate, which keeps runs reproducible
+        return cell_increment(state, second if levels[second] < levels[first] else first)
 
 
 def make_code(params: CodeParams):

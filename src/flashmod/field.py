@@ -96,22 +96,25 @@ class FieldSpec:
         return log
 
 
-def _check_elem(spec: FieldSpec, a: int) -> None:
-    if not 0 <= a < (1 << spec.m):
-        raise ValueError(f"{a} is not an element of GF(2^{spec.m})")
+def _not_element(spec: FieldSpec, *elems: int) -> ValueError:
+    """The error for the first of elems outside GF(2**m)."""
+    bad = next(a for a in elems if not 0 <= a < 1 << spec.m)
+    return ValueError(f"{bad} is not an element of GF(2^{spec.m})")
 
 
 def gf_add(spec: FieldSpec, a: FieldElem, b: FieldElem) -> FieldElem:
     """Field addition (equals subtraction in characteristic 2): XOR."""
-    _check_elem(spec, a)
-    _check_elem(spec, b)
+    top = 1 << spec.m
+    if not (0 <= a < top and 0 <= b < top):
+        raise _not_element(spec, a, b)
     return a ^ b
 
 
 def gf_mul(spec: FieldSpec, a: FieldElem, b: FieldElem) -> FieldElem:
     """Field product: x**(log a + log b), with 0 absorbing."""
-    _check_elem(spec, a)
-    _check_elem(spec, b)
+    top = 1 << spec.m
+    if not (0 <= a < top and 0 <= b < top):  # before the tables are touched or built
+        raise _not_element(spec, a, b)
     if a == 0 or b == 0:
         return 0
     log = spec.log
@@ -120,7 +123,9 @@ def gf_mul(spec: FieldSpec, a: FieldElem, b: FieldElem) -> FieldElem:
 
 def gf_inv(spec: FieldSpec, a: FieldElem) -> FieldElem:
     """Multiplicative inverse x**(order - 1 - log a); 0 raises ZeroDivisionError."""
-    _check_elem(spec, a)
+    top = 1 << spec.m
+    if not 0 <= a < top:  # before the tables are touched or built
+        raise _not_element(spec, a)
     if a == 0:
         raise ZeroDivisionError("0 is not invertible in a field")
-    return spec.exp[spec.order - 1 - spec.log[a]]
+    return spec.exp[top - 1 - spec.log[a]]

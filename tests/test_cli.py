@@ -112,6 +112,9 @@ def test_simulate_dist_errors_exit_2(tmp_path, capsys):
     for law in ("0.5,nan,0.5,0", "inf,0,0,0", "0.5,0.5,-inf,inf"):
         assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", law, "--out", out]) == 2
         assert "finite" in capsys.readouterr().err
+    for law in ("1,0,0,0", "0,0,1,0"):  # a point mass never forces an erase
+        assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", law, "--out", out]) == 2
+        assert "positive probability" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -255,6 +258,9 @@ def test_ballsbins_flag_validation(tmp_path, monkeypatch):
     assert run_cli(["ballsbins", "--mode", "maxload", "--n", "10", "--out", out]) == 2  # no --m
     assert run_cli(["ballsbins", "--mode", "overflow", "--n", "10", "--out", out]) == 2  # no --q
     assert run_cli(["ballsbins", "--mode", "overflow", "--n", "10", "--q", "1", "--out", out]) == 2
+    # each mode rejects the other mode's flag instead of dropping it
+    assert run_cli(["ballsbins", "--mode", "maxload", "--n", "10", "--m", "10", "--q", "4", "--out", out]) == 2
+    assert run_cli(["ballsbins", "--mode", "overflow", "--n", "8", "--m", "99", "--q", "4", "--out", out]) == 2
     # the max-load prediction needs n >= 3
     assert run_cli(["ballsbins", "--mode", "maxload", "--n", "2", "--m", "4", "--d", "1,2", "--out", out]) == 2
     maxload = ["ballsbins", "--mode", "maxload", "--n", "10", "--m", "10", "--out", out]

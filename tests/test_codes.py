@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 from flashmod.codes import LoadBalancingCode, SelfRandomizedCode, make_code
 from flashmod.core import (
     ERASE_REQUIRED,
+    NOOP,
     CellState,
     CodeKind,
     CodeParams,
     WriteKind,
+    cell_increment,
 )
+from flashmod.field import FieldSpec, gf_inv, gf_mul
 
 
 def sr_params(k, q):
@@ -205,3 +208,96 @@ def test_codes_reject_mismatched_state():
         code.decode(CellState.zeros(8, 4))
     with pytest.raises(ValueError):
         code.encode(CellState.zeros(4, 8), 1)  # q mismatch
+    for code, wrong_n in ((code, 8), (make_code(lb_params(2, 4)), 4)):
+        state = CellState.zeros(wrong_n, 4)
+        with pytest.raises(ValueError, match="cells"):
+            code.decode(state)
+        with pytest.raises(ValueError, match="cells"):
+            code.encode(state, 1)
+        assert state.levels == [0] * wrong_n
+
+
+# Reference codes: the first implementation of both codes, kept as the
+# slow path the encoders are compared against write by write.  The
+# load-balancing one spends three field products and one inverse per
+# write and chooses among a list of candidates.
+
+
+def reference_scalars(values, r):
+    a = r % (values - 1) + 1 if values > 2 else 1
+    b = r % values
+    return a, b
+
+
+def reference_lb_decode(params, field, state):
+    r = state.level_sum
+    raw = state.weighted_level_sum % params.n
+    a, b = reference_scalars(params.value_count, r)
+    return gf_mul(field, gf_inv(field, a), raw ^ b) % params.value_count
+
+
+def reference_lb_candidates(params, field, state, value):
+    values = params.value_count
+    a, b = reference_scalars(values, state.level_sum + 1)
+    raw = state.weighted_level_sum % params.n
+    return [((gf_mul(field, a, value + i * values) ^ b) - raw) % params.n for i in range(params.l)]
+
+
+def reference_lb_encode(params, field, state, value):
+    if reference_lb_decode(params, field, state) == value:
+        return NOOP
+    best, best_level = -1, None
+    for cell in reference_lb_candidates(params, field, state, value):  # ties to the lowest index
+        if best_level is None or state.levels[cell] < best_level:
+            best, best_level = cell, state.levels[cell]
+    return cell_increment(state, best)
+
+
+def reference_sr_decode(params, state):
+    mod = params.value_count
+    r = state.level_sum
+    s = state.weighted_level_sum % mod
+    return (s - r * (r + 1) // 2) % mod
+
+
+def reference_sr_encode(params, state, value):
+    mod = params.value_count
+    current = reference_sr_decode(params, state)
+    if current == value:
+        return NOOP
+    delta = (value - current) % mod
+    return cell_increment(state, (delta + state.level_sum + 1) % mod)
+
+
+@pytest.mark.parametrize("q", [2, 4, 16])
+@pytest.mark.parametrize("kind", list(CodeKind))
+def test_encode_matches_reference_code(kind, q):
+    "Outcomes, candidates and decoded values equal the reference's over whole cycles."
+    for k in range(1, 11):
+        params = CodeParams(k=k, l=2, q=q, kind=kind)
+        code = make_code(params)
+        if kind is CodeKind.LOAD_BALANCING:
+            field = FieldSpec(k + 1)
+            ref_encode = lambda st, x: reference_lb_encode(params, field, st, x)  # noqa: E731
+            ref_decode = lambda st: reference_lb_decode(params, field, st)  # noqa: E731
+        else:
+            ref_encode = lambda st, x: reference_sr_encode(params, st, x)  # noqa: E731
+            ref_decode = lambda st: reference_sr_decode(params, st)  # noqa: E731
+        for seed in range(3):
+            rng = np.random.default_rng([k, q, seed])
+            state = CellState.zeros(params.n, q)
+            ref_state = CellState.zeros(params.n, q)
+            outcome = None
+            while outcome is not ERASE_REQUIRED:
+                values = rng.integers(0, params.value_count, size=512)
+                values[rng.random(512) < 0.25] = 0  # zeros hit the v = 0 image and repeat often
+                for x in values.tolist():
+                    if kind is CodeKind.LOAD_BALANCING:
+                        assert code.candidate_cells(state, x) == reference_lb_candidates(params, field, ref_state, x)
+                    outcome = code.encode(state, x)
+                    expected = ref_encode(ref_state, x)
+                    assert (outcome.kind, outcome.cell) == (expected.kind, expected.cell), (k, seed, x)
+                    assert code.decode(state) == ref_decode(ref_state)
+                    if outcome is ERASE_REQUIRED:
+                        break
+            assert state.levels == ref_state.levels

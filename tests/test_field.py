@@ -136,6 +136,17 @@ def test_element_range_checked():
         gf_mul(spec, 4, 1)
     with pytest.raises(ValueError):
         gf_add(spec, 1, -1)
+    # the operand check comes before the tables are touched or built
+    big = FieldSpec(24)
+    for call in (
+        lambda: gf_mul(big, 1 << 24, 1),
+        lambda: gf_mul(big, 3, -1),
+        lambda: gf_inv(big, 1 << 24),
+        lambda: gf_inv(big, -5),
+    ):
+        with pytest.raises(ValueError, match="not an element"):
+            call()
+        assert "log" not in vars(big) and "exp" not in vars(big)
 
 
 def test_gf16_products_match_oracle_exhaustively():
