@@ -1,5 +1,5 @@
 """The analytic side: efficiency ceilings, the d(c) root, Lambert W,
-and the min-of-N bootstrap for multi-group blocks.
+and the exact min-of-N order statistic for multi-group blocks.
 """
 
 import math
@@ -38,7 +38,7 @@ for c in (0.5, 1.0, 2.0, 5.0):
 print(f"d(1) = e = {solve_dc(1.0):.12f}")
 
 print()
-print("min-of-N bootstrap: a block holding N groups dies with the first")
+print("min-of-N order statistic: a block holding N groups dies with the first")
 print("group, so the expected rewrites shrink as N grows.")
 params = CodeParams(k=3, l=2, q=8, kind=CodeKind.SELF_RANDOMIZED)
 code = make_code(params)
@@ -46,5 +46,5 @@ uni = DistributionSpec.uniform(8)
 samples = [run_cycle(code, uni, cycle_rng(31, i)).r_inc for i in range(400)]
 print(f"per-group rewrite samples: mean={np.mean(samples):.1f}, min={min(samples)}")
 for n_groups in (1, 2, 8, 64):
-    est = min_of_n_expectation(samples, n_groups, 4000, cycle_rng(32, n_groups))
+    est = min_of_n_expectation(samples, n_groups)
     print(f"  expected rewrites until first of N={n_groups:>2} groups fills: {est:.1f}")

@@ -72,20 +72,25 @@ def _place(n: int, d: int, rng: np.random.Generator, balls: int, cap: int) -> li
     """Sequential d-choice placement of up to balls balls into n bins.
 
     Each ball's candidate pair goes to its less loaded member, ties to
-    the lower bin index.  d=2 draws distinct pairs in blocks of
-    min(balls left to draw, _CHUNK); d>2 draws rng.choice(n, d) per ball
-    and lets its least loaded candidate stand in as both members of the
-    pair.  Placement stops before the first ball whose bin already
-    holds cap balls.  Returns the bin loads; they sum to the balls placed.
+    the lower bin index.  d <= 2 draws in blocks of min(balls left to
+    draw, _CHUNK): the first members over all n bins, then for d=2 the
+    second members over the other n-1 bins; for d=1 the second member is
+    the first.  d>2 draws rng.choice(n, d) per ball and lets its least
+    loaded candidate stand in as both members of the pair.  Placement
+    stops before the first ball whose bin already holds cap balls.
+    Returns the bin loads; they sum to the balls placed.
     """
     counts = [0] * n
     drawn = 0
     while drawn < balls:
-        if d == 2:
+        if d <= 2:
             size = min(balls - drawn, _CHUNK)
             first = rng.integers(0, n, size=size)
-            second = rng.integers(0, n - 1, size=size)
-            second += second >= first
+            if d == 2:
+                second = rng.integers(0, n - 1, size=size)
+                second += second >= first
+            else:
+                second = first
             pairs = zip(first.tolist(), second.tolist())
         else:
             size = 1
@@ -109,18 +114,20 @@ def throw_balls(n: int, m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     Each ball samples d distinct bins uniformly at random (every bin once
     d >= n) and lands in the least loaded of them, ties to the lowest bin
     index.  Returns the int64 bin loads, which sum to m.  With a fixed
-    generator the result is reproducible bit for bit.  d values above 2
-    take a per-ball sampling path and are only meant for small
-    experiments.
+    generator the result is reproducible bit for bit.  Draws come in
+    blocks of at most _CHUNK balls, so memory does not grow with m.
+    d values above 2 take a per-ball sampling path and are only meant
+    for small experiments.
     """
     _check_bins(n, d)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if d == 1:
         # uniform placement is exchangeable: loads are the draw histogram
-        if m == 0:
-            return np.zeros(n, dtype=np.int64)
-        return np.bincount(rng.integers(0, n, size=m), minlength=n).astype(np.int64)
+        loads = np.zeros(n, dtype=np.int64)
+        for start in range(0, m, _CHUNK):
+            np.add.at(loads, rng.integers(0, n, size=min(_CHUNK, m - start)), 1)
+        return loads
     if d >= n:
         return _round_robin_loads(n, m)
     # no bin can hold m balls before the last one lands, so cap=m never stops
@@ -134,32 +141,19 @@ def balls_until_overflow(n: int, q: int, d: int, rng: np.random.Generator) -> in
     placement whose selected bin already holds q-1 balls (the placement
     that forces the overflow).  This mirrors an n-cell filling up: the
     result is the incrementing-rewrite count of one erasure cycle under
-    ideal random loading.
+    ideal random loading.  Below d = n each trial runs the placement
+    kernel on a budget of n*(q-1)+1 balls.
     """
     _check_bins(n, d)
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     qm1 = q - 1
-    if d == 1:
-        # after n*(q-1)+1 draws some bin has been drawn q times, so a
-        # fixed-size stream always contains the stopping point: it is the
-        # earliest position that is the q-th occurrence of its bin
-        cap = n * qm1 + 1
-        draws = rng.integers(0, n, size=cap)
-        order = np.argsort(draws, kind="stable")
-        sorted_draws = draws[order]
-        bins = np.arange(n)
-        starts = np.searchsorted(sorted_draws, bins, side="left")
-        ends = np.searchsorted(sorted_draws, bins, side="right")
-        qth = starts + qm1
-        reached = qth < ends
-        return int(order[qth[reached]].min())
     if d >= n:
         # deterministic rotation fills every bin to q-1, then stalls
         return n * qm1
-    # the stop fires within n*(q-1)+1 balls; a budget of whole _CHUNK
-    # blocks above that keeps every d=2 draw a full block
-    return sum(_place(n, d, rng, _CHUNK * (n * qm1 // _CHUNK + 1), qm1))
+    # after n*(q-1)+1 balls some bin has been chosen q times, so that
+    # budget always holds the stopping point
+    return sum(_place(n, d, rng, n * qm1 + 1, qm1))
 
 
 def collision_bound(m: float, n: float, k: float) -> float:

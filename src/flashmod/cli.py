@@ -21,7 +21,7 @@ from .ballsbins import (
     throw_balls,
 )
 from .codes import make_code
-from .core import CellState, CodeKind, CodeParams, WriteKind
+from .core import MAX_LOG2_N, CellState, CodeKind, CodeParams, WriteKind
 from .sim import DistributionSpec, cycle_rng, gamma_upper_bounds, run_experiment
 
 __all__ = ["run_cli", "main", "emit_records", "SIMULATE_COLUMNS"]
@@ -99,8 +99,8 @@ def emit_records(stats, fmt: str, path: str) -> None:
     _emit(rows, SIMULATE_COLUMNS, fmt, path)
 
 
-def _at_least(minimum: int):
-    """argparse type: one integer >= minimum."""
+def _at_least(minimum: int, maximum: int | None = None):
+    """argparse type: one integer >= minimum (and <= maximum, if given)."""
 
     def parse(text: str) -> int:
         try:
@@ -109,6 +109,8 @@ def _at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
@@ -190,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     balls = sub.add_parser("ballsbins", parents=[seeded, output], help="d-choice random loading sweeps")
     balls.add_argument("--mode", choices=("maxload", "overflow"), default="maxload")
-    balls.add_argument("--n", type=_at_least(1), required=True, help="bins")
+    balls.add_argument("--n", type=_at_least(1, 1 << MAX_LOG2_N), required=True, help="bins")
     balls.add_argument("--m", type=_at_least(1), default=None, help="balls per trial (maxload mode)")
     balls.add_argument("--q", type=_list_of(2), default=None, help="comma-separated level counts (overflow mode)")
     balls.add_argument("--d", type=_list_of(1), default="1", help="comma-separated choice counts, e.g. 1,2")

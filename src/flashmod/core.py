@@ -26,7 +26,8 @@ __all__ = [
 ]
 
 #: log2 of the largest cell count, n = 2**24: the largest field GF(n) the
-#: load-balancing code can use, and a bound on what CellState allocates.
+#: load-balancing code can use, and a bound on what CellState (and the
+#: ballsbins CLI, per bin) allocates.
 MAX_LOG2_N = max(DEFAULT_POLYS)
 
 
@@ -159,10 +160,6 @@ class CellState:
     @property
     def n(self) -> int:
         return len(self.levels)
-
-    @property
-    def max_level(self) -> int:
-        return max(self.levels)
 
     def __repr__(self):
         return f"CellState(levels={self.levels!r}, q={self.q})"

@@ -99,7 +99,6 @@ class CycleStats:
 
     r_inc: int  # writes that incremented a cell level
     r_total: int  # incrementing writes plus same-value no-ops
-    final_max_level: int
 
     def __post_init__(self):
         if not 0 <= self.r_inc <= self.r_total:
@@ -148,7 +147,7 @@ def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator) -> CycleSt
             elif kind is WriteKind.NOOP:
                 r_total += 1
             else:
-                return CycleStats(r_inc, r_total, state.max_level)
+                return CycleStats(r_inc, r_total)
 
 
 def run_experiment(
@@ -199,21 +198,23 @@ def gamma_upper_bounds(k: int, l: int) -> tuple[float, float]:
     return math.log2(k * l), k * math.log2(l)
 
 
-def min_of_n_expectation(samples, n: int, resamples: int, rng: np.random.Generator) -> float:
-    """Bootstrap estimate of E[min of n i.i.d. draws] from samples.
+def min_of_n_expectation(samples, n: int) -> float:
+    """Exact E[min of n i.i.d. draws] from the empirical law of samples.
 
-    Each resampling round draws n values with replacement from samples
-    and keeps the minimum; the estimate is the mean over rounds.  n = 1
-    reduces to a bootstrap mean; large n tends to the sample minimum.
-    Used to turn one group's stopping-time samples into the expected
-    first-failure time of n groups running side by side.
+    With the M samples sorted ascending, the minimum of n draws reaches
+    x_(i) exactly when every draw lands at rank i or above, so the tail
+    sum gives E = x_(1) + sum_{i>=2} (x_(i) - x_(i-1)) * ((M-i+1)/M)**n.
+    n = 1 gives the sample mean, large n tends to the sample minimum, and
+    constant samples return their value exactly.  Used to turn one
+    group's stopping-time samples into the expected first-failure time
+    of n groups running side by side.
     """
     values = np.asarray(samples, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("samples must be a non-empty 1-d sequence")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
-    idx = rng.integers(0, values.size, size=(resamples, n))
-    return float(values[idx].min(axis=1).mean())
+    values = np.sort(values)
+    m = values.size
+    survive = (np.arange(m - 1, 0, -1) / m) ** n
+    return float(values[0] + np.diff(values) @ survive)

@@ -90,46 +90,29 @@ def test_balls_until_overflow_deterministic_cases():
     assert balls_until_overflow(5, 4, 5, cycle_rng(0, 0)) == 15
 
 
-def test_balls_until_overflow_matches_sequential_reference():
-    # the vectorized d=1 path agrees with a plain sequential replay of
-    # the same stopping rule on the same stream
-    def reference(n, q, rng):
-        counts = [0] * n
-        placed = 0
-        draws = rng.integers(0, n, size=n * (q - 1) + 1).tolist()
-        for b in draws:
-            if counts[b] == q - 1:
-                return placed
-            counts[b] += 1
-            placed += 1
-        raise AssertionError("stream exhausted")
-
-    for t in range(30):
-        n, q = 8, 5
-        fast = balls_until_overflow(n, q, 1, cycle_rng(200, t))
-        slow = reference(n, q, cycle_rng(200, t))
-        assert fast == slow
-
-
-def _sequential_place(n, d, rng, balls, cap, block):
+def _sequential_place(n, d, rng, balls, cap):
     """Plain replay of the documented draws, one ball at a time.
 
-    d=2 takes distinct pairs from blocks of block(balls left to draw)
-    draws; d>2 takes one rng.choice(n, d, replace=False) per ball.  The
-    ball goes to its least loaded candidate, ties to the lowest index,
-    unless that bin already holds cap balls, which ends the run.  Returns
-    the bin loads.
+    d=2 takes distinct pairs from blocks of min(balls left to draw,
+    _CHUNK) draws; d=1 takes all its draws in one rng.integers call,
+    which the kernel's blocks must reproduce exactly; d>2 takes one
+    rng.choice(n, d, replace=False) per ball.  The ball goes to its
+    least loaded candidate, ties to the lowest index, unless that bin
+    already holds cap balls, which ends the run.  Returns the bin loads.
     """
     counts = [0] * n
     candidates = []
     for _ in range(balls):
-        if d == 2:
+        if d <= 2:
             if not candidates:
-                size = block(balls - sum(counts))
+                size = balls if d == 1 else min(balls - sum(counts), _CHUNK)
                 first = rng.integers(0, n, size=size)
-                second = rng.integers(0, n - 1, size=size)
-                second[second >= first] += 1
-                candidates = [[int(a), int(b)] for a, b in zip(first, second)][::-1]
+                if d == 1:
+                    candidates = [[int(a)] for a in first][::-1]
+                else:
+                    second = rng.integers(0, n - 1, size=size)
+                    second[second >= first] += 1
+                    candidates = [[int(a), int(b)] for a, b in zip(first, second)][::-1]
             cands = candidates.pop()
         else:
             cands = [int(c) for c in rng.choice(n, size=d, replace=False)]
@@ -141,31 +124,40 @@ def _sequential_place(n, d, rng, balls, cap, block):
 
 
 def test_placement_kernel_matches_sequential_reference():
-    # throw draws d=2 blocks of min(remaining, _CHUNK), overflow full
-    # _CHUNK blocks; both public entry points must replay the reference
-    def throw_block(left):
-        return min(left, _CHUNK)
-
-    def overflow_block(left):
-        return _CHUNK
-
+    # throw and overflow both draw blocks of min(balls left, _CHUNK), the
+    # overflow budget being n*(q-1)+1; both public entry points must
+    # replay the reference
     for t in range(30):
         n = (5, 17, 40)[t % 3]
         d = 2 + t % 2
         m = _CHUNK + 700 if t in (0, 2) else 50 + 37 * t  # two d=2 throws cross a block
         q = 2 + t % 5
-        want = _sequential_place(n, d, cycle_rng(400, t), m, m, throw_block)
+        want = _sequential_place(n, d, cycle_rng(400, t), m, m)
         assert sum(want) == m
         assert _place(n, d, cycle_rng(400, t), m, m) == want
         assert throw_balls(n, m, d, cycle_rng(400, t)).tolist() == want
 
-        want = _sequential_place(n, d, cycle_rng(500, t), n * (q - 1) + 1, q - 1, overflow_block)
+        want = _sequential_place(n, d, cycle_rng(500, t), n * (q - 1) + 1, q - 1)
         assert balls_until_overflow(n, q, d, cycle_rng(500, t)) == sum(want)
+
+    # d=1: the kernel's blocks replay one whole draw of the budget
+    for t in range(30):
+        want = _sequential_place(8, 1, cycle_rng(200, t), 8 * 4 + 1, 4)
+        assert balls_until_overflow(8, 5, 1, cycle_rng(200, t)) == sum(want)
+    for t in range(3):
+        # a budget of 8*4095+1 balls that stops past the first block
+        want = _sequential_place(8, 1, cycle_rng(700, t), 8 * 4095 + 1, 4095)
+        assert sum(want) > _CHUNK
+        assert balls_until_overflow(8, 4096, 1, cycle_rng(700, t)) == sum(want)
+        # a chunked throw equals the histogram of one draw of all m balls
+        m = 2 * _CHUNK + 5
+        hist = np.bincount(cycle_rng(800, t).integers(0, 17, size=m), minlength=17)
+        assert throw_balls(17, m, 1, cycle_rng(800, t)).tolist() == hist.tolist()
 
     # d >= n: every bin is a candidate and the kernel rotates like the
     # deterministic shortcut the public functions take
     for t in range(3):
-        want = _sequential_place(4, 4, cycle_rng(600, t), 10, 10, throw_block)
+        want = _sequential_place(4, 4, cycle_rng(600, t), 10, 10)
         assert _place(4, 4, cycle_rng(600, t), 10, 10) == want == _round_robin_loads(4, 10).tolist()
 
 

@@ -266,6 +266,9 @@ def test_ballsbins_flag_validation(tmp_path, monkeypatch):
     maxload = ["ballsbins", "--mode", "maxload", "--n", "10", "--m", "10", "--out", out]
     for flags in (["--trials", "0"], ["--n", "0"], ["--d", "0"], ["--d", "1,0"], ["--m", "0"], ["--seed", "-1"]):
         assert run_cli(maxload + flags) == 2, flags
+    # more bins than 2^MAX_LOG2_N exit 2 before any load vector is allocated
+    for n in (16_777_217, 1_099_511_627_776):
+        assert run_cli(maxload + ["--n", str(n), "--m", "1"]) == 2, n
     assert not (tmp_path / "x.csv").exists()
 
 
