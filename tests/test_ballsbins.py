@@ -90,6 +90,27 @@ def test_balls_until_overflow_deterministic_cases():
     assert balls_until_overflow(5, 4, 5, cycle_rng(0, 0)) == 15
 
 
+def test_balls_until_overflow_matches_sequential_reference():
+    # the blocked d=1 path agrees with a plain sequential replay of
+    # the same stopping rule on one draw of the whole budget
+    def reference(n, q, rng):
+        counts = [0] * n
+        placed = 0
+        draws = rng.integers(0, n, size=n * (q - 1) + 1).tolist()
+        for b in draws:
+            if counts[b] == q - 1:
+                return placed
+            counts[b] += 1
+            placed += 1
+        raise AssertionError("stream exhausted")
+
+    for t in range(30):
+        n, q = 8, 5
+        fast = balls_until_overflow(n, q, 1, cycle_rng(200, t))
+        slow = reference(n, q, cycle_rng(200, t))
+        assert fast == slow
+
+
 def _sequential_place(n, d, rng, balls, cap):
     """Plain replay of the documented draws, one ball at a time.
 
@@ -141,9 +162,6 @@ def test_placement_kernel_matches_sequential_reference():
         assert balls_until_overflow(n, q, d, cycle_rng(500, t)) == sum(want)
 
     # d=1: the kernel's blocks replay one whole draw of the budget
-    for t in range(30):
-        want = _sequential_place(8, 1, cycle_rng(200, t), 8 * 4 + 1, 4)
-        assert balls_until_overflow(8, 5, 1, cycle_rng(200, t)) == sum(want)
     for t in range(3):
         # a budget of 8*4095+1 balls that stops past the first block
         want = _sequential_place(8, 1, cycle_rng(700, t), 8 * 4095 + 1, 4095)
