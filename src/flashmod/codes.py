@@ -8,7 +8,7 @@ codes pure state transformers.
 """
 
 from .core import NOOP, CellState, CodeKind, CodeParams, WriteOutcome, cell_increment
-from .field import FieldSpec, gf_inv, gf_mul
+from .field import FieldSpec, gf_mul
 
 __all__ = ["SelfRandomizedCode", "LoadBalancingCode", "make_code"]
 
@@ -57,7 +57,7 @@ class SelfRandomizedCode:
         if state.q != self.params.q or len(state.levels) != mod:
             raise _mismatch(state, self.params)
         r = state.level_sum
-        current = self._stored(r, state.weighted_level_sum)
+        current = (state.weighted_level_sum - r * (r + 1) // 2) % mod  # self._stored(r, s), inline
         if current == value:
             return NOOP
         # the cell (value - current) + r + 1 moves both sums onto value
@@ -94,8 +94,10 @@ class LoadBalancingCode:
     def _stored(self, r: int, raw: int) -> int:
         """Value held by a state with level sum r and index-weighted sum raw (mod n)."""
         values = self._values
-        a = r % (values - 1) + 1
-        return gf_mul(self.field, gf_inv(self.field, a), raw ^ (r % values)) & (values - 1)
+        field = self.field
+        # a_r^-1 = x**(n - 1 - log a_r), read from the tables
+        a_inv = field.exp[self._n - 1 - field.log[r % (values - 1) + 1]]
+        return gf_mul(field, a_inv, raw ^ (r % values)) & (values - 1)
 
     def _candidates(self, r: int, value: int, raw: int) -> tuple[int, int]:
         """The two cells write r may raise to store value, in choice order."""
@@ -120,20 +122,34 @@ class LoadBalancingCode:
         """Cells a write of value would choose among, in choice order."""
         if not 0 <= value < self._values:
             raise ValueError(f"value {value} outside [0, {self._values})")
+        if state.q != self.params.q or len(state.levels) != self._n:
+            raise _mismatch(state, self.params)
         return list(self._candidates(state.level_sum + 1, value, state.weighted_level_sum % self._n))
 
     def encode(self, state: CellState, value: int) -> WriteOutcome:
-        """Store value on the less charged of its two candidate cells."""
+        """Store value on the less charged of its two candidate cells.
+
+        Runs _stored's test and _candidates' two cells inline, so a write
+        calls only gf_mul and cell_increment; test_codes checks encode and
+        both helpers against one reference.
+        """
         n = self._n
-        if not 0 <= value < self._values:
-            raise ValueError(f"value {value} outside [0, {self._values})")
+        values = self._values
+        if not 0 <= value < values:
+            raise ValueError(f"value {value} outside [0, {values})")
         if state.q != self.params.q or len(state.levels) != n:
             raise _mismatch(state, self.params)
         r = state.level_sum
         raw = state.weighted_level_sum % n
-        if self._stored(r, raw) == value:
+        field = self.field
+        exp, log = field.exp, field.log
+        if gf_mul(field, exp[n - 1 - log[r % (values - 1) + 1]], raw ^ (r % values)) & (values - 1) == value:
             return NOOP
-        first, second = self._candidates(r + 1, value, raw)
+        r += 1
+        la = log[r % (values - 1) + 1]
+        b = r % values
+        first = (((exp[la + log[value]] if value else 0) ^ b) - raw) % n
+        second = ((exp[la + log[value | values]] ^ b) - raw) % n
         levels = state.levels
         # ties go to the first candidate, which keeps runs reproducible
         return cell_increment(state, second if levels[second] < levels[first] else first)

@@ -168,8 +168,10 @@ class CellState:
 def cell_increment(state: CellState, idx: int) -> WriteOutcome:
     """Raise cell idx by one level, or signal that an erase is due.
 
-    The state is untouched when ERASE_REQUIRED is returned.  An
-    out-of-range index is a caller bug and raises IndexError.
+    The state is untouched when ERASE_REQUIRED is returned; otherwise the
+    result is the interned written(idx), read from its cache without a
+    call once it exists.  An out-of-range index is a caller bug and
+    raises IndexError.
     """
     levels = state.levels
     if not 0 <= idx < len(levels):
@@ -179,4 +181,5 @@ def cell_increment(state: CellState, idx: int) -> WriteOutcome:
     levels[idx] += 1
     state.level_sum += 1
     state.weighted_level_sum += idx
-    return written(idx)
+    out = _written_cache.get(idx)
+    return out if out is not None else written(idx)

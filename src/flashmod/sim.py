@@ -125,6 +125,7 @@ def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator) -> CycleSt
     already matches the stored one are no-ops and count only toward
     r_total.  The write that triggers ERASE_REQUIRED is dropped entirely,
     since the erase wipes the block before the value could be stored.
+    Every write, that one included, is exactly one code.encode call.
 
     dist needs at least two support points: a single-value law would
     no-op forever after its first write and the cycle could not end.
@@ -136,15 +137,16 @@ def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator) -> CycleSt
         raise ValueError("dist needs >= 2 support points for the cycle to terminate")
     state = CellState.zeros(params.n, params.q)
     encode = code.encode
+    written, noop = WriteKind.WRITTEN, WriteKind.NOOP  # an enum member read costs ~10x a local
     r_inc = 0
     r_total = 0
     while True:
         for x in dist.sample_block(rng, _SAMPLE_BLOCK).tolist():
             kind = encode(state, x).kind
-            if kind is WriteKind.WRITTEN:
+            if kind is written:
                 r_inc += 1
                 r_total += 1
-            elif kind is WriteKind.NOOP:
+            elif kind is noop:
                 r_total += 1
             else:
                 return CycleStats(r_inc, r_total)

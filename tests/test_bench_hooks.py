@@ -31,6 +31,38 @@ def test_trace_mode_counts_every_patched_layer(tmp_path, monkeypatch):
         assert metrics[name] > 0, name
 
 
+def test_traced_simulate_meets_the_trace_contract(tmp_path, monkeypatch):
+    "Traced counts equal the outputs' implied counts: encode per write, run_cycle per cycle."
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+    import tracing
+    from workloads import Simulate, Workload
+
+    workload = Workload(
+        "trace-contract",
+        (
+            # every hot call shares one law file, so they share k
+            Simulate("load-balancing", 2, (2, 4), 3),
+            Simulate("load-balancing", 3, (16,), 2, hot=True),
+            Simulate("self-randomized", 4, (4,), 3),
+            Simulate("self-randomized", 3, (2, 16), 2, hot=True),
+        ),
+    )
+    runner = run.Runner(workload, 5, tmp_path)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        outputs, _ = runner.run_pass(tracer.timed("cli.run_cli", run_cli))
+    finally:
+        tracer.restore()
+    parsed = runner.check(outputs, "traced")
+    expected = run.expected_counts(workload, parsed)
+    assert expected["sim.run_cycle"] == 3 * 2 + 2 + 3 + 2 * 2
+    run.reconcile(runner.checks, tracer, expected)
+    assert runner.checks.failures == []
+    assert runner.checks.attempted > len(expected)
+
+
 def test_setup_snippet_builds_every_workload_code(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import run

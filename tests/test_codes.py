@@ -215,6 +215,14 @@ def test_codes_reject_mismatched_state():
         with pytest.raises(ValueError, match="cells"):
             code.encode(state, 1)
         assert state.levels == [0] * wrong_n
+    # candidate_cells must not name cells of a state the code cannot hold
+    lb = make_code(lb_params(3, 4))
+    with pytest.raises(ValueError, match="state has 4 cells, code needs 16"):
+        lb.candidate_cells(CellState.zeros(4, 4), 1)
+    with pytest.raises(ValueError, match="state has q=7, code needs q=4"):
+        lb.candidate_cells(CellState.zeros(16, 7), 1)
+    with pytest.raises(ValueError, match="state has q=7, code needs q=4"):
+        lb.encode(CellState.zeros(16, 7), 1)
 
 
 # Reference codes: the first implementation of both codes, kept as the

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_codes import reference_lb_encode, reference_sr_encode
 
 from flashmod.codes import make_code
-from flashmod.core import CodeKind, CodeParams
+from flashmod.core import ERASE_REQUIRED, CellState, CodeKind, CodeParams
+from flashmod.field import FieldSpec
 from flashmod.sim import (
     DistributionSpec,
     cycle_rng,
@@ -92,6 +96,52 @@ class TestRunCycle:
         params = CodeParams(k=2, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED)
         with pytest.raises(ValueError):
             run_cycle(make_code(params), uniform(1), cycle_rng(0, 0))
+
+
+def reference_run_cycle(params, dist, rng):
+    """(r_inc, r_total) of one cycle, written by the reference codes in test_codes."""
+    if params.kind is CodeKind.LOAD_BALANCING:
+        field = FieldSpec(params.k + 1)
+        encode = lambda cells, x: reference_lb_encode(params, field, cells, x)  # noqa: E731
+    else:
+        encode = lambda cells, x: reference_sr_encode(params, cells, x)  # noqa: E731
+    state = CellState.zeros(params.n, params.q)
+    r_inc = r_total = 0
+    while True:
+        for x in dist.sample_block(rng, 512).tolist():
+            out = encode(state, x)
+            if out is ERASE_REQUIRED:
+                return r_inc, r_total
+            r_inc += out.is_written
+            r_total += 1
+
+
+def hot_law(size):
+    """p(0) = 0.7, the last value never drawn (from size 3 on), the rest uniform."""
+    probs = np.zeros(size)
+    rest = size - 1 if size == 2 else size - 2
+    probs[1 : 1 + rest] = 0.3 / rest
+    probs[0] = 0.7
+    return DistributionSpec(probs)
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(list(CodeKind)),
+    k=st.integers(1, 10),
+    q=st.sampled_from([2, 4, 16]),
+    hot=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    index=st.integers(0, 1000),
+)
+@example(kind=CodeKind.LOAD_BALANCING, k=10, q=16, hot=True, seed=7, index=3)
+@example(kind=CodeKind.SELF_RANDOMIZED, k=10, q=4, hot=False, seed=8, index=0)
+def test_run_cycle_matches_reference_loop(kind, k, q, hot, seed, index):
+    "CycleStats equal a reference loop's on the same stream: same draws, outcomes and counts."
+    params = CodeParams(k=k, l=2, q=q, kind=kind)
+    dist = hot_law(params.value_count) if hot else uniform(k)
+    stats = run_cycle(make_code(params), dist, cycle_rng(seed, index))
+    assert (stats.r_inc, stats.r_total) == reference_run_cycle(params, dist, cycle_rng(seed, index))
 
 
 class TestRunExperiment:
