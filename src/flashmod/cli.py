@@ -318,13 +318,12 @@ def _roundtrip_point(params: CodeParams, writes: int, seed: int, stream: int) ->
     failures = 0
     done = 0
     values = params.value_count
-    erase = WriteKind.ERASE_REQUIRED
     while done < writes:
         for x in rng.integers(0, values, size=256).tolist():
             if done >= writes:
                 break
             outcome = code.encode(state, x)
-            if outcome.kind is erase:
+            if outcome.kind is WriteKind.ERASE_REQUIRED:
                 state = CellState.zeros(params.n, params.q)  # new cycle, write not counted
                 continue
             if code.decode(state) != x:

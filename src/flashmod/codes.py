@@ -8,7 +8,7 @@ codes pure state transformers.
 """
 
 from .core import NOOP, CellState, CodeKind, CodeParams, WriteOutcome, cell_increment
-from .field import FieldSpec, gf_mul
+from .field import FieldSpec, gf_inv, gf_mul
 
 __all__ = ["SelfRandomizedCode", "LoadBalancingCode", "make_code"]
 
@@ -38,16 +38,14 @@ class SelfRandomizedCode:
         self.params = params
         self._mod = params.value_count
 
-    def _stored(self, r: int, s: int) -> int:
-        """Value held by a state with level sum r and index-weighted sum s."""
-        # r(r+1)/2 is computed in full precision before the reduction
-        return (s - r * (r + 1) // 2) % self._mod
-
     def decode(self, state: CellState) -> int:
         """Value currently stored; a function of the state alone."""
-        if len(state.levels) != self._mod:
+        mod = self._mod
+        if len(state.levels) != mod:
             raise _mismatch(state, self.params)
-        return self._stored(state.level_sum, state.weighted_level_sum)
+        r = state.level_sum
+        # r(r+1)/2 is computed in full precision before the reduction
+        return (state.weighted_level_sum - r * (r + 1) // 2) % mod
 
     def encode(self, state: CellState, value: int) -> WriteOutcome:
         """Store value, incrementing at most one cell."""
@@ -57,7 +55,7 @@ class SelfRandomizedCode:
         if state.q != self.params.q or len(state.levels) != mod:
             raise _mismatch(state, self.params)
         r = state.level_sum
-        current = (state.weighted_level_sum - r * (r + 1) // 2) % mod  # self._stored(r, s), inline
+        current = (state.weighted_level_sum - r * (r + 1) // 2) % mod
         if current == value:
             return NOOP
         # the cell (value - current) + r + 1 moves both sums onto value
@@ -94,10 +92,8 @@ class LoadBalancingCode:
     def _stored(self, r: int, raw: int) -> int:
         """Value held by a state with level sum r and index-weighted sum raw (mod n)."""
         values = self._values
-        field = self.field
-        # a_r^-1 = x**(n - 1 - log a_r), read from the tables
-        a_inv = field.exp[self._n - 1 - field.log[r % (values - 1) + 1]]
-        return gf_mul(field, a_inv, raw ^ (r % values)) & (values - 1)
+        a = r % (values - 1) + 1
+        return gf_mul(self.field, gf_inv(self.field, a), raw ^ (r % values)) & (values - 1)
 
     def _candidates(self, r: int, value: int, raw: int) -> tuple[int, int]:
         """The two cells write r may raise to store value, in choice order."""
@@ -143,6 +139,7 @@ class LoadBalancingCode:
         raw = state.weighted_level_sum % n
         field = self.field
         exp, log = field.exp, field.log
+        # _stored's test, with a_r^-1 = x**(n - 1 - log a_r) read from the tables
         if gf_mul(field, exp[n - 1 - log[r % (values - 1) + 1]], raw ^ (r % values)) & (values - 1) == value:
             return NOOP
         r += 1
