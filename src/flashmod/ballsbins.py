@@ -38,7 +38,6 @@ class LoadRegime(Enum):
 
     LINEAR_M = "linear-m"  # m below n*ln(n)
     N_LOG_N = "n-log-n"  # m = c*n*ln(n)
-    POLYNOMIAL = "polynomial"  # m polynomial in n; only tail bounds here
     TWO_CHOICE = "two-choice"  # d >= 2 random choices
 
 
@@ -162,8 +161,8 @@ def collision_bound(m: float, n: float, k: float) -> float:
     Evaluates min(1, (m*e/(n*k))**k) in log space so large k cannot
     overflow.  m balls, n bins, threshold k (k may be fractional).
     """
-    if m < 1 or n < 1 or k < 1:
-        raise ValueError(f"need m, n, k >= 1, got m={m}, n={n}, k={k}")
+    if not all(1 <= v < math.inf for v in (m, n, k)):
+        raise ValueError(f"need finite m, n, k >= 1, got m={m}, n={n}, k={k}")
     log_bound = k * (1.0 + math.log(m) - math.log(n) - math.log(k))
     if log_bound >= 0.0:
         return 1.0
@@ -175,8 +174,8 @@ def max_load_prediction(n: int, m: float, d: int) -> RegimePrediction:
 
     Parameters
     ----------
-    n : bins, at least 3 (so ln(ln(n)) is defined and positive).
-    m : balls, at least 1.
+    n : bins, finite and at least 3 (so ln(ln(n)) is defined and positive).
+    m : balls, finite and at least 1.
     d : random choices per ball.
 
     Returns
@@ -190,10 +189,10 @@ def max_load_prediction(n: int, m: float, d: int) -> RegimePrediction:
     undershoots the observed mean noticeably (the next-order corrections
     are large), so compare with generous tolerances.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    if not 3 <= n < math.inf:
+        raise ValueError(f"n must be finite and >= 3, got {n}")
+    if not 1 <= m < math.inf:
+        raise ValueError(f"m must be finite and >= 1, got {m}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     ln_n = math.log(n)
@@ -215,8 +214,8 @@ def solve_dc(c: float) -> float:
     to machine precision.  The result always exceeds c and satisfies the
     implicit identity c = -dc * W0(-exp(-1 - 1/dc)).
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     ln_c = math.log(c)
 
     def g(x: float) -> float:
@@ -251,10 +250,10 @@ def lambert_w0(x: float) -> float:
     Raises
     ------
     ValueError
-        If x lies below the branch point -1/e.
+        If x lies below the branch point -1/e or is not finite.
     """
-    if x < _BRANCH_POINT:
-        raise ValueError(f"lambert_w0 needs x >= -1/e ~= {_BRANCH_POINT:.9f}, got {x}")
+    if not _BRANCH_POINT <= x < math.inf:
+        raise ValueError(f"lambert_w0 needs finite x >= -1/e ~= {_BRANCH_POINT:.9f}, got {x}")
     if x == 0.0:
         return 0.0
     if x < -0.3:

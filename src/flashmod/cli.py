@@ -69,14 +69,15 @@ def _emit(rows, columns, fmt: str, path: str) -> None:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     else:
-        raise UsageError(f"unknown format {fmt!r}")
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def emit_records(stats, fmt: str, path: str) -> None:
     """Write experiment records as CSV (fixed header) or a JSON array.
 
     Floats are rendered identically in both formats, so a CSV and a JSON
-    emission of the same stats carry field-by-field equal values.
+    emission of the same stats carry field-by-field equal values.  An
+    unknown fmt raises ValueError before anything is written.
     """
     rows = []
     for s in stats:

@@ -30,8 +30,6 @@ class SelfRandomizedCode:
     cells evenly for i.i.d. inputs instead of hammering a few indices.
     """
 
-    kind = CodeKind.SELF_RANDOMIZED
-
     def __init__(self, params: CodeParams):
         if params.kind is not CodeKind.SELF_RANDOMIZED:
             raise ValueError(f"params describe a {params.kind.value} code")
@@ -79,8 +77,6 @@ class LoadBalancingCode:
     a_r*(x + 2**k) + b_r - w (mod n).
     """
 
-    kind = CodeKind.LOAD_BALANCING
-
     def __init__(self, params: CodeParams):
         if params.kind is not CodeKind.LOAD_BALANCING:
             raise ValueError(f"params describe a {params.kind.value} code")
@@ -89,30 +85,14 @@ class LoadBalancingCode:
         self._n = params.n
         self._values = params.value_count
 
-    def _stored(self, r: int, raw: int) -> int:
-        """Value held by a state with level sum r and index-weighted sum raw (mod n)."""
-        values = self._values
-        a = r % (values - 1) + 1
-        return gf_mul(self.field, gf_inv(self.field, a), raw ^ (r % values)) & (values - 1)
-
-    def _candidates(self, r: int, value: int, raw: int) -> tuple[int, int]:
-        """The two cells write r may raise to store value, in choice order."""
-        values = self._values
-        field = self.field
-        exp, log = field.exp, field.log
-        # both images share the factor a_r, so its log is looked up once
-        la = log[r % (values - 1) + 1]
-        b = r % values
-        first = (exp[la + log[value]] if value else 0) ^ b
-        second = exp[la + log[value | values]] ^ b
-        return (first - raw) % self._n, (second - raw) % self._n
-
     def decode(self, state: CellState) -> int:
         """Value currently stored; a function of the state alone."""
         n = self._n
         if len(state.levels) != n:
             raise _mismatch(state, self.params)
-        return self._stored(state.level_sum, state.weighted_level_sum % n)
+        r, values = state.level_sum, self._values
+        a, b = r % (values - 1) + 1, r % values
+        return gf_mul(self.field, gf_inv(self.field, a), (state.weighted_level_sum % n) ^ b) & (values - 1)
 
     def candidate_cells(self, state: CellState, value: int) -> list[int]:
         """Cells a write of value would choose among, in choice order."""
@@ -120,14 +100,18 @@ class LoadBalancingCode:
             raise ValueError(f"value {value} outside [0, {self._values})")
         if state.q != self.params.q or len(state.levels) != self._n:
             raise _mismatch(state, self.params)
-        return list(self._candidates(state.level_sum + 1, value, state.weighted_level_sum % self._n))
+        n, values = self._n, self._values
+        r = state.level_sum + 1
+        a, b = r % (values - 1) + 1, r % values
+        raw = state.weighted_level_sum % n
+        return [((gf_mul(self.field, a, v) ^ b) - raw) % n for v in (value, value | values)]
 
     def encode(self, state: CellState, value: int) -> WriteOutcome:
         """Store value on the less charged of its two candidate cells.
 
-        Runs _stored's test and _candidates' two cells inline, so a write
-        calls only gf_mul and cell_increment; test_codes checks encode and
-        both helpers against one reference.
+        Runs decode's test and candidate_cells' two cells inline, on the
+        field tables, so a write calls only gf_mul and cell_increment;
+        test_codes checks all three methods against one reference.
         """
         n = self._n
         values = self._values
@@ -139,7 +123,7 @@ class LoadBalancingCode:
         raw = state.weighted_level_sum % n
         field = self.field
         exp, log = field.exp, field.log
-        # _stored's test, with a_r^-1 = x**(n - 1 - log a_r) read from the tables
+        # decode's test, with a_r^-1 = x**(n - 1 - log a_r) read from the tables
         if gf_mul(field, exp[n - 1 - log[r % (values - 1) + 1]], raw ^ (r % values)) & (values - 1) == value:
             return NOOP
         r += 1

@@ -10,6 +10,7 @@ maintained incrementally so a read costs O(1) instead of O(n).
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import index
 
 from .field import DEFAULT_POLYS
 
@@ -21,7 +22,6 @@ __all__ = [
     "WriteOutcome",
     "NOOP",
     "ERASE_REQUIRED",
-    "written",
     "cell_increment",
 ]
 
@@ -117,15 +117,8 @@ class WriteOutcome:
 NOOP = WriteOutcome(WriteKind.NOOP)
 ERASE_REQUIRED = WriteOutcome(WriteKind.ERASE_REQUIRED)
 
+#: interned WRITTEN outcomes, one per cell index, filled by cell_increment
 _written_cache: dict[int, WriteOutcome] = {}
-
-
-def written(cell: int) -> WriteOutcome:
-    """Interned WRITTEN outcome for the given cell index."""
-    out = _written_cache.get(cell)
-    if out is None:
-        out = _written_cache.setdefault(cell, WriteOutcome(WriteKind.WRITTEN, cell))
-    return out
 
 
 class CellState:
@@ -141,7 +134,7 @@ class CellState:
     def __init__(self, levels, q: int):
         if q < 2:
             raise ValueError(f"q must be >= 2, got {q}")
-        levels = [int(v) for v in levels]
+        levels = [index(v) for v in levels]
         for i, v in enumerate(levels):
             if not 0 <= v <= q - 1:
                 raise ValueError(f"cell {i} level {v} outside [0, {q - 1}]")
@@ -169,9 +162,9 @@ def cell_increment(state: CellState, idx: int) -> WriteOutcome:
     """Raise cell idx by one level, or signal that an erase is due.
 
     The state is untouched when ERASE_REQUIRED is returned; otherwise the
-    result is the interned written(idx), read from its cache without a
-    call once it exists.  An out-of-range index is a caller bug and
-    raises IndexError.
+    result is the WRITTEN outcome for idx, interned so that every write
+    to one cell returns the same object.  An out-of-range index is a
+    caller bug and raises IndexError.
     """
     levels = state.levels
     if not 0 <= idx < len(levels):
@@ -182,4 +175,4 @@ def cell_increment(state: CellState, idx: int) -> WriteOutcome:
     state.level_sum += 1
     state.weighted_level_sum += idx
     out = _written_cache.get(idx)
-    return out if out is not None else written(idx)
+    return out if out is not None else _written_cache.setdefault(idx, WriteOutcome(WriteKind.WRITTEN, idx))

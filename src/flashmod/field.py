@@ -11,9 +11,7 @@ in log/antilog tables built lazily per FieldSpec.
 from dataclasses import dataclass
 from functools import cached_property
 
-__all__ = ["FieldElem", "FieldSpec", "DEFAULT_POLYS", "gf_add", "gf_mul", "gf_inv"]
-
-FieldElem = int
+__all__ = ["FieldSpec", "DEFAULT_POLYS", "gf_add", "gf_mul", "gf_inv"]
 
 #: Conventional low-weight primitive polynomials, degree -> bit mask.
 #: Its keys are the supported extension degrees.
@@ -102,7 +100,7 @@ def _not_element(spec: FieldSpec, *elems: int) -> ValueError:
     return ValueError(f"{bad} is not an element of GF(2^{spec.m})")
 
 
-def gf_add(spec: FieldSpec, a: FieldElem, b: FieldElem) -> FieldElem:
+def gf_add(spec: FieldSpec, a: int, b: int) -> int:
     """Field addition (equals subtraction in characteristic 2): XOR."""
     top = 1 << spec.m
     if not (0 <= a < top and 0 <= b < top):
@@ -110,7 +108,7 @@ def gf_add(spec: FieldSpec, a: FieldElem, b: FieldElem) -> FieldElem:
     return a ^ b
 
 
-def gf_mul(spec: FieldSpec, a: FieldElem, b: FieldElem) -> FieldElem:
+def gf_mul(spec: FieldSpec, a: int, b: int) -> int:
     """Field product: x**(log a + log b), with 0 absorbing."""
     top = 1 << spec.m
     if not (0 <= a < top and 0 <= b < top):  # before the tables are touched or built
@@ -121,7 +119,7 @@ def gf_mul(spec: FieldSpec, a: FieldElem, b: FieldElem) -> FieldElem:
     return spec.exp[log[a] + log[b]]
 
 
-def gf_inv(spec: FieldSpec, a: FieldElem) -> FieldElem:
+def gf_inv(spec: FieldSpec, a: int) -> int:
     """Multiplicative inverse x**(order - 1 - log a); 0 raises ZeroDivisionError."""
     top = 1 << spec.m
     if not 0 <= a < top:  # before the tables are touched or built

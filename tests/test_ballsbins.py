@@ -191,8 +191,9 @@ def test_collision_bound_examples():
     assert collision_bound(100, 100, math.e) == 1.0
     assert collision_bound(8, 2, 8) == 1.0  # (e/2)^8 ~ 11.6 before the clamp
     assert collision_bound(10_000, 10_000, 20) <= 1e-17
-    with pytest.raises(ValueError):
-        collision_bound(0, 1, 1)
+    for m, n, k in ((0, 1, 1), (math.nan, 1, 1), (1, math.inf, 1), (1, 1, math.inf), (1, 1, math.nan)):
+        with pytest.raises(ValueError):
+            collision_bound(m, n, k)
 
 
 def test_collision_bound_holds_per_bin_empirically():
@@ -215,8 +216,9 @@ def test_max_load_prediction_formulas():
     p = max_load_prediction(n, n, 2)
     assert p.regime is LoadRegime.TWO_CHOICE
     assert p.predicted_max_load == pytest.approx(1.0 + math.log(ln_n) / math.log(2.0), abs=1e-12)
-    with pytest.raises(ValueError):
-        max_load_prediction(2, 1, 1)
+    for n, m in ((2, 1), (math.nan, 100), (math.inf, 100), (100, math.nan), (100, math.inf)):
+        with pytest.raises(ValueError):
+            max_load_prediction(n, m, 1)
 
 
 def test_solve_dc_closed_form_and_residuals():
@@ -226,8 +228,9 @@ def test_solve_dc_closed_form_and_residuals():
         assert d > c
         residual = d * (math.log(c) - math.log(d) + 1.0) + 1.0 - c
         assert abs(residual) < 1e-12
-    with pytest.raises(ValueError):
-        solve_dc(0.0)
+    for c in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            solve_dc(c)
 
 
 def test_solve_dc_small_c_still_brackets():
@@ -251,8 +254,9 @@ def test_lambert_w0_examples():
     x = -math.exp(-1.0 - 1.0 / math.e)
     assert lambert_w0(x) == pytest.approx(-1.0 / math.e, abs=1e-12)
     assert lambert_w0(-math.exp(-1.0)) == pytest.approx(-1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        lambert_w0(-0.4)
+    for x in (-0.4, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            lambert_w0(x)
 
 
 def test_lambert_w0_residual_on_grid():

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from flashmod.cli import SIMULATE_COLUMNS, emit_records, run_cli
+from flashmod.codes import SelfRandomizedCode
 from flashmod.core import CellState, CodeKind, CodeParams
 from flashmod.sim import DistributionSpec, run_experiment
 
@@ -167,6 +168,12 @@ def test_emit_records_empty_and_single(tmp_path):
     assert len(rows) == 2
     assert rows[1][0] == "self-randomized"
 
+    # an unknown format is a library error a caller can catch, and writes nothing
+    xml = tmp_path / "one.xml"
+    with pytest.raises(ValueError, match="unknown format"):
+        emit_records([stats], "xml", str(xml))
+    assert not xml.exists()
+
 
 def test_bounds_prints_dc(capsys):
     assert run_cli(["bounds", "--dc", "1"]) == 0
@@ -200,17 +207,40 @@ def test_bounds_requires_a_flag():
     assert run_cli(["bounds"]) == 2
 
 
-def test_bounds_domain_errors_exit_2():
+def test_bounds_domain_errors_exit_2(capsys):
     assert run_cli(["bounds", "--dc", "-1"]) == 2
     assert run_cli(["bounds", "--lambertw", "-1"]) == 2
+    # non-finite input fails loudly instead of printing nan, inf or a plausible 0
+    for argv in (
+        "--dc nan",
+        "--dc inf",
+        "--lambertw nan",
+        "--lambertw inf",
+        "--collision nan,1,1",
+        "--collision 1,1,inf",
+    ):
+        assert run_cli(["bounds", *argv.split()]) == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
-def test_roundtrip_command(capsys):
+def test_roundtrip_command(capsys, monkeypatch):
     rc = run_cli(["roundtrip", "--code", "both", "--k", "1,2", "--q", "4", "--writes", "500", "--seed", "1"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "failures=0" in out
     assert "[PASS]" in out
+
+    # a decoder that is off by one fails every check, and the command says so
+    true_decode = SelfRandomizedCode.decode
+
+    def off_by_one(self, state):
+        return (true_decode(self, state) + 1) % self.params.value_count
+
+    monkeypatch.setattr(SelfRandomizedCode, "decode", off_by_one)
+    assert run_cli("roundtrip --code self-randomized --k 2 --q 4 --writes 50".split()) == 1
+    out = capsys.readouterr().out
+    assert "failures=50" in out
+    assert "[FAIL]" in out
 
 
 def test_roundtrip_configuration_errors_print_nothing(capsys):

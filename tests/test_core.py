@@ -10,7 +10,6 @@ from flashmod.core import (
     CodeParams,
     WriteKind,
     cell_increment,
-    written,
 )
 
 level_lists = st.integers(2, 12).flatmap(
@@ -33,8 +32,9 @@ def test_weighted_sum_examples():
 def test_cell_increment_examples():
     st_ = CellState([0, 0, 0], 4)
     out = cell_increment(st_, 1)
-    assert out == written(1) and out.is_written
+    assert out.is_written and out.cell == 1
     assert st_.levels == [0, 1, 0]
+    assert cell_increment(st_, 1) is out  # WRITTEN outcomes are interned per cell
 
     full = CellState([3, 0], 4)
     assert cell_increment(full, 0) is ERASE_REQUIRED
@@ -90,6 +90,11 @@ def test_state_validation():
         CellState([0], 1)
     with pytest.raises(ValueError):
         CellState.zeros(0, 4)
+    # levels are integers: no silent truncation of floats, no parsing of strings
+    with pytest.raises(TypeError):
+        CellState([1.7, 0.2], 4)
+    with pytest.raises(TypeError):
+        CellState(["1", "2"], 4)
 
 
 def test_params_derive_and_validate_n(monkeypatch):
@@ -118,7 +123,6 @@ def test_params_derive_and_validate_n(monkeypatch):
 
 
 def test_outcome_shapes():
-    assert written(3).cell == 3
     assert NOOP.kind is WriteKind.NOOP and NOOP.cell is None
     assert ERASE_REQUIRED.kind is WriteKind.ERASE_REQUIRED
     with pytest.raises(ValueError):
