@@ -183,7 +183,9 @@ def max_load_prediction(n: int, m: float, d: int) -> RegimePrediction:
     RegimePrediction
         d=1 with m below n*ln(n): ln(n) / ln(n*ln(n)/m), which reduces to
         ln(n)/ln(ln(n)) at m=n.  d=1 with m = c*n*ln(n): (dc(c)-1)*ln(n)
-        with dc from solve_dc.  d>=2: m/n + ln(ln(n))/ln(d).
+        with dc from solve_dc.  d>=2: m/n + ln(ln(n))/ln(d).  Each is
+        raised to ceil(m/n) where it falls below: some bin always holds
+        at least that many balls.
 
     These are leading-order point estimates: at moderate n the d=1 value
     undershoots the observed mean noticeably (the next-order corrections
@@ -196,13 +198,14 @@ def max_load_prediction(n: int, m: float, d: int) -> RegimePrediction:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     ln_n = math.log(n)
-    if d >= 2:
-        return RegimePrediction(LoadRegime.TWO_CHOICE, m / n + math.log(ln_n) / math.log(d))
     n_log_n = n * ln_n
-    if m < n_log_n:
-        return RegimePrediction(LoadRegime.LINEAR_M, ln_n / math.log(n_log_n / m))
-    c = m / n_log_n
-    return RegimePrediction(LoadRegime.N_LOG_N, (solve_dc(c) - 1.0) * ln_n)
+    if d >= 2:
+        regime, load = LoadRegime.TWO_CHOICE, m / n + math.log(ln_n) / math.log(d)
+    elif m < n_log_n:
+        regime, load = LoadRegime.LINEAR_M, ln_n / math.log(n_log_n / m)
+    else:
+        regime, load = LoadRegime.N_LOG_N, (solve_dc(m / n_log_n) - 1.0) * ln_n
+    return RegimePrediction(regime, max(load, float(math.ceil(m / n))))
 
 
 def solve_dc(c: float) -> float:
@@ -210,30 +213,43 @@ def solve_dc(c: float) -> float:
 
     This root scales the maximum load in the m = c*n*ln(n) regime.  g
     peaks at x = c with g(c) = 1 and decreases monotonically beyond, so
-    the largest root lies in (c, inf); it is bracketed there and bisected
-    to machine precision.  The result always exceeds c and satisfies the
-    implicit identity c = -dc * W0(-exp(-1 - 1/dc)).
+    the largest root is c*e**t with t > 0.  There g = 1 - c*h(t), where
+    h(t) = t*e**t - expm1(t) = t**2/2 + t**3/3 + ... (summed as a series
+    for small t), and t is bisected on c*h(t) = 1 to machine precision:
+    g itself would cancel away the gap dc - c, about sqrt(2c) for large
+    c.  The result satisfies c = -dc * W0(-exp(-1 - 1/dc)) and is within
+    1e-13 of the root, relatively, for every c.  Its gap over c is
+    rounded to ulp(c), so the gap is good to 1e-6 up to c = 1e20, and dc
+    exceeds c only up to c of about 1e32; beyond that dc rounds to c.
     """
     if not 0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c}")
     ln_c = math.log(c)
 
-    def g(x: float) -> float:
-        return x * (ln_c - math.log(x) + 1.0) + 1.0 - c
+    def excess(t: float) -> float:  # c*h(t) - 1 = x*(t - 1) + c - 1 at x = c*e**t
+        if t > 0.1:
+            return math.exp(ln_c + t) * (t - 1.0) + c - 1.0
+        h, term, j = 0.0, t * t / 2.0, 2  # term = t**j / j!
+        while h + (j - 1) * term != h:
+            h += (j - 1) * term
+            j += 1
+            term *= t / j
+        return c * h - 1.0
 
-    lo = c  # g(lo) = 1 > 0
-    hi = c + 40.0
-    while g(hi) > 0.0:
-        hi = c + 2.0 * (hi - c)
+    lo = 0.0  # excess(0) = -1 < 0
+    hi = min(2.0 * math.sqrt(2.0 / c), 1.0)  # t < 1 for c >= 1, near sqrt(2/c) for large c
+    while excess(hi) < 0.0:
+        hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if g(mid) > 0.0:
+        if excess(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return hi if abs(g(hi)) < abs(g(lo)) else lo
+    t = hi if abs(excess(hi)) < abs(excess(lo)) else lo
+    return c + c * math.expm1(t) if t <= 0.1 else math.exp(ln_c + t)
 
 
 _BRANCH_POINT = -math.exp(-1.0)

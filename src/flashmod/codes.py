@@ -3,14 +3,16 @@
 Both codes share one contract: decode reads nothing but the current
 state; encode either does nothing (the state already holds the value),
 raises exactly one cell level by one, or reports that the block must be
-erased first.  Erasing itself is the simulator's job, which keeps the
-codes pure state transformers.
+erased first (erasing is the simulator's job).  The load-balancing code
+remembers what its last write stored, so a cycle decodes once.
 """
 
-from .core import NOOP, CellState, CodeKind, CodeParams, WriteOutcome, cell_increment
+from .core import ERASE_REQUIRED, NOOP, CellState, CodeKind, CodeParams, WriteOutcome, cell_increment
 from .field import FieldSpec, gf_inv, gf_mul
 
 __all__ = ["SelfRandomizedCode", "LoadBalancingCode", "make_code"]
+
+_FORGOTTEN = (None, -1, -1)  # the memo of no state: no level sum is -1
 
 
 def _mismatch(state: CellState, params: CodeParams) -> ValueError:
@@ -75,6 +77,11 @@ class LoadBalancingCode:
     index-weighted sum w (mod n) stores a_r^-1 * (w + b_r) mod 2**k; the
     candidates of write r for value x are a_r*x + b_r - w and
     a_r*(x + 2**k) + b_r - w (mod n).
+
+    encode memoizes (state, level sum, value) of its last write or decode.
+    That is sound because cell_increment, the only way a CellState's sums
+    change, adds exactly one to the level sum.  An erase forgets the state
+    (no finished cycle is kept alive); threads sharing a code only miss.
     """
 
     def __init__(self, params: CodeParams):
@@ -84,6 +91,7 @@ class LoadBalancingCode:
         self.field = FieldSpec(params.k + 1)  # GF(n) for the binary alphabet
         self._n = params.n
         self._values = params.value_count
+        self._last = _FORGOTTEN
 
     def decode(self, state: CellState) -> int:
         """Value currently stored; a function of the state alone."""
@@ -109,23 +117,23 @@ class LoadBalancingCode:
     def encode(self, state: CellState, value: int) -> WriteOutcome:
         """Store value on the less charged of its two candidate cells.
 
-        Runs decode's test and candidate_cells' two cells inline, on the
-        field tables, so a write calls only gf_mul and cell_increment;
-        test_codes checks all three methods against one reference.
+        The stored value comes from the memo (decode on a miss) and the
+        candidates from the field tables; test_codes checks all three
+        methods against one reference.
         """
-        n = self._n
-        values = self._values
+        n, values = self._n, self._values
         if not 0 <= value < values:
             raise ValueError(f"value {value} outside [0, {values})")
         if state.q != self.params.q or len(state.levels) != n:
             raise _mismatch(state, self.params)
         r = state.level_sum
-        raw = state.weighted_level_sum % n
-        field = self.field
-        exp, log = field.exp, field.log
-        # decode's test, with a_r^-1 = x**(n - 1 - log a_r) read from the tables
-        if gf_mul(field, exp[n - 1 - log[r % (values - 1) + 1]], raw ^ (r % values)) & (values - 1) == value:
+        last = self._last
+        if last[0] is not state or last[1] != r:
+            last = self._last = (state, r, self.decode(state))
+        if last[2] == value:
             return NOOP
+        raw = state.weighted_level_sum % n
+        exp, log = self.field.exp, self.field.log
         r += 1
         la = log[r % (values - 1) + 1]
         b = r % values
@@ -133,7 +141,9 @@ class LoadBalancingCode:
         second = ((exp[la + log[value | values]] ^ b) - raw) % n
         levels = state.levels
         # ties go to the first candidate, which keeps runs reproducible
-        return cell_increment(state, second if levels[second] < levels[first] else first)
+        out = cell_increment(state, second if levels[second] < levels[first] else first)
+        self._last = _FORGOTTEN if out is ERASE_REQUIRED else (state, r, value)
+        return out
 
 
 def make_code(params: CodeParams):

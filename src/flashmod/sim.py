@@ -121,8 +121,8 @@ class ExperimentStats:
 def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator) -> CycleStats:
     """Write i.i.d. inputs onto a fresh n-cell until an erase is forced.
 
-    Writes that increment a cell count toward r_inc; writes whose value
-    already matches the stored one are no-ops and count only toward
+    Writes that increment a cell count toward r_inc, which is therefore
+    the level sum at the erase; same-value no-ops count only toward
     r_total.  The write that triggers ERASE_REQUIRED is dropped entirely,
     since the erase wipes the block before the value could be stored.
     Every write, that one included, is exactly one code.encode call.
@@ -137,19 +137,13 @@ def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator) -> CycleSt
         raise ValueError("dist needs >= 2 support points for the cycle to terminate")
     state = CellState.zeros(params.n, params.q)
     encode = code.encode
-    written, noop = WriteKind.WRITTEN, WriteKind.NOOP  # an enum member read costs ~10x a local
-    r_inc = 0
+    erase = WriteKind.ERASE_REQUIRED  # an enum member read costs ~10x a local
     r_total = 0
     while True:
         for x in dist.sample_block(rng, _SAMPLE_BLOCK).tolist():
-            kind = encode(state, x).kind
-            if kind is written:
-                r_inc += 1
-                r_total += 1
-            elif kind is noop:
-                r_total += 1
-            else:
-                return CycleStats(r_inc, r_total)
+            if encode(state, x).kind is erase:
+                return CycleStats(state.level_sum, r_total)
+            r_total += 1
 
 
 def run_experiment(

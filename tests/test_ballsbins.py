@@ -216,6 +216,15 @@ def test_max_load_prediction_formulas():
     p = max_load_prediction(n, n, 2)
     assert p.regime is LoadRegime.TWO_CHOICE
     assert p.predicted_max_load == pytest.approx(1.0 + math.log(ln_n) / math.log(2.0), abs=1e-12)
+    # no regime predicts below the pigeonhole floor ceil(m/n)
+    for n, m, d, regime, floor in (
+        (3, 1, 1, LoadRegime.LINEAR_M, 1.0),
+        (3, 1, 2, LoadRegime.TWO_CHOICE, 1.0),
+        (10, 2, 1, LoadRegime.LINEAR_M, 1.0),
+        (3, 7, 2, LoadRegime.TWO_CHOICE, 3.0),
+    ):
+        p = max_load_prediction(n, m, d)
+        assert (p.regime, p.predicted_max_load) == (regime, floor), (n, m, d)
     for n, m in ((2, 1), (math.nan, 100), (math.inf, 100), (100, math.nan), (100, math.inf)):
         with pytest.raises(ValueError):
             max_load_prediction(n, m, 1)
@@ -231,6 +240,12 @@ def test_solve_dc_closed_form_and_residuals():
     for c in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             solve_dc(c)
+
+
+def test_solve_dc_keeps_the_gap_at_large_c():
+    # dc - c, about sqrt(2c), against mpmath's root of g at 80 digits
+    for c, gap in ((1e14, 14142135.9570643), (1e15, 44721359.8833291), (1e20, 14142135624.0643)):
+        assert solve_dc(c) - c == pytest.approx(gap, rel=1e-6), c
 
 
 def test_solve_dc_small_c_still_brackets():

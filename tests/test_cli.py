@@ -181,6 +181,12 @@ def test_bounds_prints_dc(capsys):
     assert "2.718281828" in out
 
 
+def test_bounds_max_load_respects_the_pigeonhole_floor(capsys):
+    # one ball in three bins has max load 1, whatever the leading-order formula says
+    assert run_cli(["bounds", "--max-load", "3,1,1"]) == 0
+    assert capsys.readouterr().out == "max_load(n=3, m=1, d=1) = 1 [linear-m]\n"
+
+
 def test_bounds_all_flags(capsys):
     rc = run_cli(
         [

@@ -1,6 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashmod.codes import LoadBalancingCode, SelfRandomizedCode, make_code
@@ -149,33 +151,93 @@ def test_round_trip_across_cycles(kind, k):
         assert code.decode(state) == x
 
 
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)
 @given(
     kind=st.sampled_from(list(CodeKind)),
-    k=st.integers(1, 3),
-    q=st.integers(2, 6),
-    data=st.data(),
+    k=st.integers(1, 12),
+    q=st.integers(2, 8),
+    seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    values=st.lists(st.integers(0, 2**12 - 1), max_size=60),  # reduced mod 2**k
 )
-def test_round_trip_property(kind, k, q, data):
-    "Written and NoOp outcomes always leave the state decoding to the value."
+@example(kind=CodeKind.LOAD_BALANCING, k=12, q=2, seed=1, values=list(range(0, 4096, 70)))
+@example(kind=CodeKind.SELF_RANDOMIZED, k=12, q=3, seed=2, values=list(range(4095, 0, -70)))
+def test_round_trip_property(kind, k, q, seed, values):
+    """Each write raises at most one cell, by one level, and Written and
+    NoOp outcomes leave the state decoding to the value.
+
+    run_cycle reads r_inc off the level sum, so it relies on the first
+    half.  A seed starts from random levels, so large n meets erases too.
+    """
     params = CodeParams(k=k, l=2, q=q, kind=kind)
     code = make_code(params)
-    state = CellState.zeros(params.n, params.q)
-    values = data.draw(st.lists(st.integers(0, params.value_count - 1), max_size=60))
+    levels = [0] * params.n if seed is None else np.random.default_rng(seed).integers(0, q, size=params.n).tolist()
+    state = CellState(levels, q)
     for x in values:
+        x %= params.value_count
         before = list(state.levels)
         out = code.encode(state, x)
+        risen = [(i, now - was) for i, (was, now) in enumerate(zip(before, state.levels)) if now != was]
+        assert risen == ([(out.cell, 1)] if out.is_written else [])
+        assert state.level_sum == sum(before) + len(risen)
         if out is ERASE_REQUIRED:
-            assert state.levels == before
             state = CellState.zeros(params.n, params.q)
             continue
-        if out.is_written:
-            # exactly one level rose by exactly one
-            diffs = [(i, a - b) for i, (a, b) in enumerate(zip(state.levels, before)) if a != b]
-            assert diffs == [(out.cell, 1)]
-        else:
-            assert state.levels == before
         assert code.decode(state) == x
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_encode_memo_tracks_state_identity(q):
+    """The load-balancing memo follows the state object, not the code.
+
+    One code writes into two states in random order; now and then a cell
+    of a state and of its mirror is raised directly, and writing goes on
+    after an erase.  Every outcome must equal the reference's on the
+    mirror, decode must run exactly when the memo cannot answer for the
+    state at its level sum, and after an erase the code must hold no
+    reference to the state: its count is back to the mirror's, which the
+    code never sees.
+    """
+    for k in range(1, 7):
+        params = lb_params(k, q)
+        code = make_code(params)
+        field = FieldSpec(k + 1)
+        decodes = [0]
+        true_decode = code.decode
+
+        def counted_decode(state):
+            decodes[0] += 1
+            return true_decode(state)
+
+        code.decode = counted_decode
+        rng = np.random.default_rng([k, q])
+        states = [CellState.zeros(params.n, q) for _ in range(2)]
+        mirrors = [CellState.zeros(params.n, q) for _ in range(2)]
+        held = None  # (state index, level sum) the memo may answer for
+        erases = hits = 0
+        for _ in range(3000):
+            j = int(rng.integers(2))
+            state, mirror = states[j], mirrors[j]
+            if rng.random() < 0.05:
+                cell = int(rng.integers(params.n))
+                assert cell_increment(state, cell) == cell_increment(mirror, cell)
+                continue
+            x = int(rng.integers(params.value_count))
+            seen, miss = decodes[0], held != (j, state.level_sum)
+            out = code.encode(state, x)
+            expected = reference_lb_encode(params, field, mirror, x)
+            assert (out.kind, out.cell) == (expected.kind, expected.cell), (k, x)
+            assert state.levels == mirror.levels
+            assert decodes[0] - seen == miss, (k, x)
+            hits += not miss
+            if out is ERASE_REQUIRED:
+                erases += 1
+                held = None
+                assert sys.getrefcount(state) == sys.getrefcount(mirror)
+                if rng.random() < 0.5:  # otherwise later writes go on into this state
+                    states[j], mirrors[j] = CellState.zeros(params.n, q), CellState.zeros(params.n, q)
+            else:
+                held = (j, state.level_sum)
+        assert erases > 0 and hits > 0, (k, erases, hits)
 
 
 @pytest.mark.parametrize("kind", list(CodeKind))
