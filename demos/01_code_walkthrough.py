@@ -5,7 +5,16 @@ load-balancing one spends 2**(k+1) cells to get two candidate cells per
 write.  Watch the level vectors grow and the decoder track every write.
 """
 
-from flashmod import CellState, CodeKind, CodeParams, WriteKind, make_code
+from flashmod import ERASE_REQUIRED, CellState, CodeKind, CodeParams, make_code
+
+
+def write(code, state, value):
+    """Encode value; returns the outcome and what it did, read off the levels."""
+    before = list(state.levels)
+    outcome = code.encode(state, value)
+    risen = [i for i, (was, now) in enumerate(zip(before, state.levels)) if now != was]
+    return outcome, f"cell {risen[0]}" if risen else "no-op"
+
 
 print("=== self-randomized code, k=2 (4 values in 4 cells), q=4 ===")
 params = CodeParams(k=2, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED)
@@ -13,11 +22,10 @@ code = make_code(params)
 state = CellState.zeros(params.n, params.q)
 
 for value in [3, 1, 1, 2, 0, 3, 2]:
-    outcome = code.encode(state, value)
-    if outcome.kind is WriteKind.ERASE_REQUIRED:
+    outcome, where = write(code, state, value)
+    if outcome is ERASE_REQUIRED:
         print(f"write {value}: erase required, state unchanged {state.levels}")
         break
-    where = f"cell {outcome.cell}" if outcome.is_written else "no-op"
     print(f"write {value}: {where:7s} state={state.levels} decode={code.decode(state)}")
 
 print()
@@ -28,11 +36,10 @@ state = CellState.zeros(params.n, params.q)
 
 for value in [1, 0, 1, 0, 1, 0, 1]:
     cands = code.candidate_cells(state, value)
-    outcome = code.encode(state, value)
-    if outcome.kind is WriteKind.ERASE_REQUIRED:
+    outcome, where = write(code, state, value)
+    if outcome is ERASE_REQUIRED:
         print(f"write {value}: candidates {cands} both full, erase required")
         break
-    where = f"cell {outcome.cell}" if outcome.is_written else "no-op"
     print(f"write {value}: candidates {cands} -> {where:7s} state={state.levels} decode={code.decode(state)}")
 
 print()

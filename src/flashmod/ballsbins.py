@@ -14,6 +14,7 @@ parallelize with independently seeded streams.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,27 +59,20 @@ def _check_bins(n: int, d: int) -> None:
         raise ValueError(f"d must be >= 1, got {d}")
 
 
-def _round_robin_loads(n: int, m: int) -> np.ndarray:
-    # d >= n means every bin is a candidate, so placement is the
-    # deterministic least-loaded/lowest-index rotation
-    base, extra = divmod(m, n)
-    loads = np.full(n, base, dtype=np.int64)
-    loads[:extra] += 1
-    return loads
-
-
 def _place(n: int, d: int, rng: np.random.Generator, balls: int, cap: int) -> list[int]:
     """Sequential d-choice placement of up to balls balls into n bins.
 
     Each ball's candidate pair goes to its less loaded member, ties to
-    the lower bin index.  d <= 2 draws in blocks of min(balls left to
-    draw, _CHUNK): the first members over all n bins, then for d=2 the
-    second members over the other n-1 bins; for d=1 the second member is
-    the first.  d>2 draws rng.choice(n, d) per ball and lets its least
-    loaded candidate stand in as both members of the pair.  Placement
-    stops before the first ball whose bin already holds cap balls.
-    Returns the bin loads; they sum to the balls placed.
+    the lower bin index.  d above n means every bin, so d = min(d, n).
+    d <= 2 draws in blocks of min(balls left to draw, _CHUNK): the first
+    members over all n bins, then for d=2 the second members over the
+    other n-1 bins; for d=1 the second member is the first.  d>2 draws
+    rng.choice(n, d) per ball and lets its least loaded candidate stand
+    in as both members of the pair.  Placement stops before the first
+    ball whose bin already holds cap balls.  Returns the bin loads; they
+    sum to the balls placed.
     """
+    d = min(d, n)
     counts = [0] * n
     drawn = 0
     while drawn < balls:
@@ -127,8 +121,6 @@ def throw_balls(n: int, m: int, d: int, rng: np.random.Generator) -> np.ndarray:
         for start in range(0, m, _CHUNK):
             np.add.at(loads, rng.integers(0, n, size=min(_CHUNK, m - start)), 1)
         return loads
-    if d >= n:
-        return _round_robin_loads(n, m)
     # no bin can hold m balls before the last one lands, so cap=m never stops
     return np.asarray(_place(n, d, rng, m, m), dtype=np.int64)
 
@@ -140,16 +132,13 @@ def balls_until_overflow(n: int, q: int, d: int, rng: np.random.Generator) -> in
     placement whose selected bin already holds q-1 balls (the placement
     that forces the overflow).  This mirrors an n-cell filling up: the
     result is the incrementing-rewrite count of one erasure cycle under
-    ideal random loading.  Below d = n each trial runs the placement
-    kernel on a budget of n*(q-1)+1 balls.
+    ideal random loading.  Each trial runs the placement kernel on a
+    budget of n*(q-1)+1 balls.
     """
     _check_bins(n, d)
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     qm1 = q - 1
-    if d >= n:
-        # deterministic rotation fills every bin to q-1, then stalls
-        return n * qm1
     # after n*(q-1)+1 balls some bin has been chosen q times, so that
     # budget always holds the stopping point
     return sum(_place(n, d, rng, n * qm1 + 1, qm1))
@@ -174,9 +163,12 @@ def max_load_prediction(n: int, m: float, d: int) -> RegimePrediction:
 
     Parameters
     ----------
-    n : bins, finite and at least 3 (so ln(ln(n)) is defined and positive).
-    m : balls, finite and at least 1.
+    n : bins, at least 3 (so ln(ln(n)) is defined and positive).
+    m : balls, at least 1.
     d : random choices per ball.
+
+    n and m may not exceed sys.float_info.max, so every step runs in
+    floats.
 
     Returns
     -------
@@ -191,17 +183,18 @@ def max_load_prediction(n: int, m: float, d: int) -> RegimePrediction:
     undershoots the observed mean noticeably (the next-order corrections
     are large), so compare with generous tolerances.
     """
-    if not 3 <= n < math.inf:
-        raise ValueError(f"n must be finite and >= 3, got {n}")
-    if not 1 <= m < math.inf:
-        raise ValueError(f"m must be finite and >= 1, got {m}")
+    top = sys.float_info.max  # also rejects nan, inf and ints past float range
+    if not 3 <= n <= top:
+        raise ValueError(f"n must be >= 3 and within float range, got {n}")
+    if not 1 <= m <= top:
+        raise ValueError(f"m must be >= 1 and within float range, got {m}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     ln_n = math.log(n)
     n_log_n = n * ln_n
     if d >= 2:
         regime, load = LoadRegime.TWO_CHOICE, m / n + math.log(ln_n) / math.log(d)
-    elif m < n_log_n:
+    elif n_log_n / m > 1.0:  # m below n*ln(n) by more than rounding, so the log is positive
         regime, load = LoadRegime.LINEAR_M, ln_n / math.log(n_log_n / m)
     else:
         regime, load = LoadRegime.N_LOG_N, (solve_dc(m / n_log_n) - 1.0) * ln_n

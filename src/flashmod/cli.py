@@ -1,8 +1,10 @@
 """Command line front end: sweeps, analytic queries, CSV/JSON emission.
 
 Exit codes: 0 on success, 2 on flag or configuration errors, 1 on
-runtime failures.  Each flag's domain is stated once, by its argparse
-type, so a value outside it exits 2 before any work starts.  --seed
+runtime failures.  A flag's domain is stated once: by its argparse
+type, or, for the values of ``bounds`` (whose comma tuples the handler
+splits), by the function the handler passes them to.  Either way a
+value outside it exits 2 before anything is printed or written.  --seed
 defaults to the FLASHMOD_SEED environment variable, then to 0; that
 default passes through the same type check as the flag.
 """

@@ -21,6 +21,7 @@ __all__ = [
     "WriteKind",
     "WriteOutcome",
     "NOOP",
+    "WRITTEN",
     "ERASE_REQUIRED",
     "cell_increment",
 ]
@@ -91,34 +92,21 @@ class WriteKind(Enum):
 
 @dataclass(frozen=True)
 class WriteOutcome:
-    """Result of one encode attempt.
+    """Result of one encode attempt: one of NOOP, WRITTEN, ERASE_REQUIRED.
 
-    WRITTEN carries the index of the single incremented cell.  NOOP means
-    the state already decoded to the requested value.  ERASE_REQUIRED
-    means the selected cell sits at q-1, so the block must be erased
-    before this value can be stored; the state was left untouched.
+    NOOP means the state already decoded to the requested value.
+    WRITTEN means exactly one cell rose by one level; the state's sums
+    tell which.  ERASE_REQUIRED means the selected cell sits at q-1, so
+    the block must be erased before this value can be stored; the state
+    was left untouched.
     """
 
     kind: WriteKind
-    cell: int | None = None
-
-    def __post_init__(self):
-        if self.kind is WriteKind.WRITTEN:
-            if self.cell is None or self.cell < 0:
-                raise ValueError("WRITTEN outcome needs a non-negative cell index")
-        elif self.cell is not None:
-            raise ValueError(f"{self.kind.value} outcome carries no cell index")
-
-    @property
-    def is_written(self) -> bool:
-        return self.kind is WriteKind.WRITTEN
 
 
 NOOP = WriteOutcome(WriteKind.NOOP)
+WRITTEN = WriteOutcome(WriteKind.WRITTEN)
 ERASE_REQUIRED = WriteOutcome(WriteKind.ERASE_REQUIRED)
-
-#: interned WRITTEN outcomes, one per cell index, filled by cell_increment
-_written_cache: dict[int, WriteOutcome] = {}
 
 
 class CellState:
@@ -159,12 +147,10 @@ class CellState:
 
 
 def cell_increment(state: CellState, idx: int) -> WriteOutcome:
-    """Raise cell idx by one level, or signal that an erase is due.
+    """Raise cell idx by one level (WRITTEN), or signal that an erase is due.
 
-    The state is untouched when ERASE_REQUIRED is returned; otherwise the
-    result is the WRITTEN outcome for idx, interned so that every write
-    to one cell returns the same object.  An out-of-range index is a
-    caller bug and raises IndexError.
+    The state is untouched when ERASE_REQUIRED is returned.  An
+    out-of-range index is a caller bug and raises IndexError.
     """
     levels = state.levels
     if not 0 <= idx < len(levels):
@@ -174,5 +160,4 @@ def cell_increment(state: CellState, idx: int) -> WriteOutcome:
     levels[idx] += 1
     state.level_sum += 1
     state.weighted_level_sum += idx
-    out = _written_cache.get(idx)
-    return out if out is not None else _written_cache.setdefault(idx, WriteOutcome(WriteKind.WRITTEN, idx))
+    return WRITTEN

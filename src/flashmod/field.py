@@ -3,15 +3,16 @@
 A field element is an m-bit integer whose bits are the coefficients of a
 polynomial over GF(2).  The integer-to-element bijection used by the
 load-balancing code is therefore the identity map (and sends 0 to 0),
-which keeps traces reproducible.  Reduction uses one fixed primitive
-polynomial per extension degree, and products and inverses are lookups
-in log/antilog tables built lazily per FieldSpec.
+which keeps traces reproducible, and field addition is integer XOR,
+``a ^ b``.  Reduction uses one fixed primitive polynomial per extension
+degree, and products and inverses are lookups in log/antilog tables
+built lazily per FieldSpec.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
-__all__ = ["FieldSpec", "DEFAULT_POLYS", "gf_add", "gf_mul", "gf_inv"]
+__all__ = ["FieldSpec", "DEFAULT_POLYS", "gf_mul", "gf_inv"]
 
 #: Conventional low-weight primitive polynomials, degree -> bit mask.
 #: Its keys are the supported extension degrees.
@@ -98,14 +99,6 @@ def _not_element(spec: FieldSpec, *elems: int) -> ValueError:
     """The error for the first of elems outside GF(2**m)."""
     bad = next(a for a in elems if not 0 <= a < 1 << spec.m)
     return ValueError(f"{bad} is not an element of GF(2^{spec.m})")
-
-
-def gf_add(spec: FieldSpec, a: int, b: int) -> int:
-    """Field addition (equals subtraction in characteristic 2): XOR."""
-    top = 1 << spec.m
-    if not (0 <= a < top and 0 <= b < top):
-        raise _not_element(spec, a, b)
-    return a ^ b
 
 
 def gf_mul(spec: FieldSpec, a: int, b: int) -> int:

@@ -12,6 +12,7 @@ independent.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,10 +188,11 @@ def gamma_upper_bounds(k: int, l: int) -> tuple[float, float]:
     Returns (log2(k*l), k*log2(l)).  The first applies when a single one
     of the k variables may change per rewrite (k*l possible new values),
     the second when the whole k-variable may change arbitrarily (l**k
-    possible new values).
+    possible new values).  k and l may not exceed sys.float_info.max.
     """
-    if k < 1 or l < 2:
-        raise ValueError(f"need k >= 1 and l >= 2, got k={k}, l={l}")
+    top = sys.float_info.max
+    if not (1 <= k <= top and 2 <= l <= top):
+        raise ValueError(f"need k >= 1 and l >= 2 within float range, got k={k}, l={l}")
     return math.log2(k * l), k * math.log2(l)
 
 

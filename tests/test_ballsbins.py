@@ -8,7 +8,6 @@ from flashmod.ballsbins import (
     _CHUNK,
     LoadRegime,
     _place,
-    _round_robin_loads,
     balls_until_overflow,
     collision_bound,
     lambert_w0,
@@ -47,8 +46,9 @@ def test_throw_balls_validates_args():
 
 def test_all_bins_as_candidates_round_robins():
     # d >= n makes every bin a candidate, so placement is deterministic
-    lv = throw_balls(4, 10, 4, cycle_rng(0, 0))
-    assert lv.tolist() == [3, 3, 2, 2]
+    for d in (4, 9):
+        for t in range(3):
+            assert throw_balls(4, 10, d, cycle_rng(t, d)).tolist() == [3, 3, 2, 2], (d, t)
 
 
 def test_uniform_placement_mean_max_load():
@@ -88,6 +88,7 @@ def test_balls_until_overflow_deterministic_cases():
     assert all(balls_until_overflow(2, 2, 2, cycle_rng(1, t)) == 2 for t in range(25))
     # d >= n rotates deterministically through all bins
     assert balls_until_overflow(5, 4, 5, cycle_rng(0, 0)) == 15
+    assert balls_until_overflow(5, 4, 8, cycle_rng(0, 0)) == 15
 
 
 def test_balls_until_overflow_matches_sequential_reference():
@@ -172,11 +173,11 @@ def test_placement_kernel_matches_sequential_reference():
         hist = np.bincount(cycle_rng(800, t).integers(0, 17, size=m), minlength=17)
         assert throw_balls(17, m, 1, cycle_rng(800, t)).tolist() == hist.tolist()
 
-    # d >= n: every bin is a candidate and the kernel rotates like the
-    # deterministic shortcut the public functions take
+    # d >= n: every bin is a candidate and the kernel rotates
+    # deterministically through the bins, lowest index first
     for t in range(3):
         want = _sequential_place(4, 4, cycle_rng(600, t), 10, 10)
-        assert _place(4, 4, cycle_rng(600, t), 10, 10) == want == _round_robin_loads(4, 10).tolist()
+        assert _place(4, 4, cycle_rng(600, t), 10, 10) == want == [3, 3, 2, 2]
 
 
 def test_rewrite_count_scaling_at_large_q():
@@ -225,9 +226,14 @@ def test_max_load_prediction_formulas():
     ):
         p = max_load_prediction(n, m, d)
         assert (p.regime, p.predicted_max_load) == (regime, floor), (n, m, d)
-    for n, m in ((2, 1), (math.nan, 100), (math.inf, 100), (100, math.nan), (100, math.inf)):
+    bad = ((2, 1), (math.nan, 100), (math.inf, 100), (100, math.nan), (100, math.inf), (10**400, 100), (100, 10**400))
+    for n, m in bad:
         with pytest.raises(ValueError):
             max_load_prediction(n, m, 1)
+    # an integer m a few units below n*ln(n) rounds onto it: no division by a zero log
+    n = 10**17
+    p = max_load_prediction(n, int(n * math.log(n)) - 1, 1)
+    assert p.regime is LoadRegime.N_LOG_N and math.isfinite(p.predicted_max_load)
 
 
 def test_solve_dc_closed_form_and_residuals():

@@ -2,11 +2,15 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flashmod.cli import SIMULATE_COLUMNS, emit_records, run_cli
 from flashmod.codes import SelfRandomizedCode
 from flashmod.core import CellState, CodeKind, CodeParams
 from flashmod.sim import DistributionSpec, run_experiment
+
+HUGE = "1" + "0" * 400  # an integer literal beyond float range
 
 
 def read_csv(path):
@@ -224,9 +228,34 @@ def test_bounds_domain_errors_exit_2(capsys):
         "--lambertw inf",
         "--collision nan,1,1",
         "--collision 1,1,inf",
+        # integers past float range fail the same way, not with an OverflowError
+        f"--max-load 10,{HUGE},2",
+        f"--max-load {HUGE},10,1",
+        f"--gamma-bounds {HUGE},2",
     ):
         assert run_cli(["bounds", *argv.split()]) == 2, argv
-        assert capsys.readouterr().out == "", argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: "), argv
+
+#: bounds flags and how many comma-separated numbers each takes
+BOUNDS_ARITY = {"--gamma-bounds": 2, "--max-load": 3, "--collision": 3, "--dc": 1, "--lambertw": 1}
+
+numeric_tokens = st.one_of(
+    st.integers(-3, 40),  # around every flag's lower edge
+    st.integers(10**300, 10**400),  # up to and past float range
+    st.floats(),  # nan, inf and subnormals included
+    st.sampled_from([HUGE, "-" + HUGE, "nan", "-inf", "5e-324", "1.7976931348623157e308"]),
+).map(str)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(BOUNDS_ARITY)), st.data())
+def test_bounds_argv_exits_0_or_2(flag, data):
+    "Any numbers on a bounds flag give a result or exit 2; never a traceback or exit 1."
+    tokens = data.draw(st.lists(numeric_tokens, min_size=BOUNDS_ARITY[flag], max_size=BOUNDS_ARITY[flag]))
+    argv = ["bounds", f"{flag}={','.join(tokens)}"]  # '=' keeps a leading '-' a value
+    assert run_cli(argv) in (0, 2), argv
 
 
 def test_roundtrip_command(capsys, monkeypatch):
@@ -305,6 +334,8 @@ def test_ballsbins_flag_validation(tmp_path, monkeypatch):
     # more bins than 2^MAX_LOG2_N exit 2 before any load vector is allocated
     for n in (16_777_217, 1_099_511_627_776):
         assert run_cli(maxload + ["--n", str(n), "--m", "1"]) == 2, n
+    # a ball count beyond float range exits 2, not with an OverflowError
+    assert run_cli(maxload + ["--m", HUGE, "--d", "1", "--trials", "1"]) == 2
     assert not (tmp_path / "x.csv").exists()
 
 

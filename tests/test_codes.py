@@ -9,6 +9,7 @@ from flashmod.codes import LoadBalancingCode, SelfRandomizedCode, make_code
 from flashmod.core import (
     ERASE_REQUIRED,
     NOOP,
+    WRITTEN,
     CellState,
     CodeKind,
     CodeParams,
@@ -45,11 +46,9 @@ class TestSelfRandomized:
     def test_encode_examples(self):
         code = make_code(sr_params(2, 8))
         state = CellState.zeros(4, 8)
-        out = code.encode(state, 3)
-        assert out.is_written and out.cell == 0
+        assert code.encode(state, 3) is WRITTEN
         assert state.levels == [1, 0, 0, 0]
-        out = code.encode(state, 1)
-        assert out.is_written and out.cell == 0
+        assert code.encode(state, 1) is WRITTEN
         assert state.levels == [2, 0, 0, 0]
         # writing the decoded value again changes nothing
         assert code.encode(state, 1).kind is WriteKind.NOOP
@@ -58,8 +57,8 @@ class TestSelfRandomized:
     def test_full_cell_signals_erase(self):
         code = make_code(sr_params(1, 2))
         state = CellState.zeros(2, 2)
-        assert code.encode(state, 1).is_written  # cell 0
-        assert code.encode(state, 0).is_written  # cell 1
+        assert code.encode(state, 1) is WRITTEN and state.levels == [1, 0]
+        assert code.encode(state, 0) is WRITTEN and state.levels == [1, 1]
         # n(q-1) = 2 increments used up; next change hits a full cell
         out = code.encode(state, 1)
         assert out is ERASE_REQUIRED
@@ -67,7 +66,8 @@ class TestSelfRandomized:
 
     def test_write_indices_sweep_uniformly(self):
         # with uniform inputs the written cell index is uniform; check
-        # each frequency within 3 sigma of multinomial noise
+        # each frequency within 3 sigma of multinomial noise.  A write
+        # raises one cell by one, so it shifts the weighted sum by its index
         code = make_code(sr_params(2, 2**14))
         state = CellState.zeros(4, 2**14)
         rng = np.random.default_rng(42)
@@ -75,9 +75,9 @@ class TestSelfRandomized:
         writes = 10_000
         done = 0
         while done < writes:
-            out = code.encode(state, int(rng.integers(0, 4)))
-            if out.is_written:
-                counts[out.cell] += 1
+            before = state.weighted_level_sum
+            if code.encode(state, int(rng.integers(0, 4))) is WRITTEN:
+                counts[state.weighted_level_sum - before] += 1
                 done += 1
         expected = writes / 4
         sigma = (writes * 0.25 * 0.75) ** 0.5
@@ -95,8 +95,7 @@ class TestLoadBalancing:
         code = make_code(lb_params(1, 8))
         state = CellState.zeros(4, 8)
         assert code.candidate_cells(state, 1) == [0, 2]
-        out = code.encode(state, 1)
-        assert out.is_written and out.cell == 0
+        assert code.encode(state, 1) is WRITTEN
         assert state.levels == [1, 0, 0, 0]
         assert code.decode(state) == 1
 
@@ -107,8 +106,7 @@ class TestLoadBalancing:
         state = CellState([4, 0, 0, 0], 8)
         assert code.decode(state) == 0
         assert code.candidate_cells(state, 1) == [0, 2]
-        out = code.encode(state, 1)
-        assert out.is_written and out.cell == 2
+        assert code.encode(state, 1) is WRITTEN
         assert state.levels == [4, 0, 1, 0]
         assert code.decode(state) == 1
 
@@ -177,7 +175,7 @@ def test_round_trip_property(kind, k, q, seed, values):
         before = list(state.levels)
         out = code.encode(state, x)
         risen = [(i, now - was) for i, (was, now) in enumerate(zip(before, state.levels)) if now != was]
-        assert risen == ([(out.cell, 1)] if out.is_written else [])
+        assert [rise for _, rise in risen] == ([1] if out is WRITTEN else [])
         assert state.level_sum == sum(before) + len(risen)
         if out is ERASE_REQUIRED:
             state = CellState.zeros(params.n, params.q)
@@ -225,7 +223,12 @@ def test_encode_memo_tracks_state_identity(q):
             seen, miss = decodes[0], held != (j, state.level_sum)
             out = code.encode(state, x)
             expected = reference_lb_encode(params, field, mirror, x)
-            assert (out.kind, out.cell) == (expected.kind, expected.cell), (k, x)
+            # a write raises at most one cell by one, so the sums name it
+            assert (out.kind, state.level_sum, state.weighted_level_sum) == (
+                expected.kind,
+                mirror.level_sum,
+                mirror.weighted_level_sum,
+            ), (k, x)
             assert state.levels == mirror.levels
             assert decodes[0] - seen == miss, (k, x)
             hits += not miss
@@ -366,7 +369,12 @@ def test_encode_matches_reference_code(kind, q):
                         assert code.candidate_cells(state, x) == reference_lb_candidates(params, field, ref_state, x)
                     outcome = code.encode(state, x)
                     expected = ref_encode(ref_state, x)
-                    assert (outcome.kind, outcome.cell) == (expected.kind, expected.cell), (k, seed, x)
+                    # a write raises at most one cell by one, so the sums name it
+                    assert (outcome.kind, state.level_sum, state.weighted_level_sum) == (
+                        expected.kind,
+                        ref_state.level_sum,
+                        ref_state.weighted_level_sum,
+                    ), (k, seed, x)
                     assert code.decode(state) == ref_decode(ref_state)
                     if outcome is ERASE_REQUIRED:
                         break

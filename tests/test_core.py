@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from flashmod.core import (
     ERASE_REQUIRED,
     NOOP,
+    WRITTEN,
     CellState,
     CodeKind,
     CodeParams,
@@ -31,10 +34,10 @@ def test_weighted_sum_examples():
 
 def test_cell_increment_examples():
     st_ = CellState([0, 0, 0], 4)
-    out = cell_increment(st_, 1)
-    assert out.is_written and out.cell == 1
+    assert cell_increment(st_, 1) is WRITTEN
     assert st_.levels == [0, 1, 0]
-    assert cell_increment(st_, 1) is out  # WRITTEN outcomes are interned per cell
+    assert cell_increment(st_, 1) is WRITTEN
+    assert st_.levels == [0, 2, 0]
 
     full = CellState([3, 0], 4)
     assert cell_increment(full, 0) is ERASE_REQUIRED
@@ -72,7 +75,7 @@ def test_increment_walk_keeps_invariants(case, picks):
         before_l1 = state.level_sum
         before_ws = state.weighted_level_sum % n
         out = cell_increment(state, idx)
-        if out.is_written:
+        if out is WRITTEN:
             assert state.level_sum == before_l1 + 1
             assert state.weighted_level_sum % n == (before_ws + idx) % n
         else:
@@ -123,9 +126,19 @@ def test_params_derive_and_validate_n(monkeypatch):
 
 
 def test_outcome_shapes():
-    assert NOOP.kind is WriteKind.NOOP and NOOP.cell is None
+    assert NOOP.kind is WriteKind.NOOP
+    assert WRITTEN.kind is WriteKind.WRITTEN
     assert ERASE_REQUIRED.kind is WriteKind.ERASE_REQUIRED
-    with pytest.raises(ValueError):
-        from flashmod.core import WriteOutcome
 
-        WriteOutcome(WriteKind.NOOP, cell=1)
+
+def test_writes_keep_no_per_cell_objects():
+    "Raising every cell once returns the one WRITTEN and allocates nothing that stays."
+    state = CellState.zeros(1 << 16, 2)
+    tracemalloc.start()
+    try:
+        assert all(cell_increment(state, i) is WRITTEN for i in range(state.n))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.level_sum == state.n
+    assert peak < 64 * 1024, (held, peak)  # a per-cell object would cost MBs

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from test_codes import reference_lb_encode, reference_sr_encode
 
 from flashmod.codes import make_code
-from flashmod.core import ERASE_REQUIRED, CellState, CodeKind, CodeParams
+from flashmod.core import ERASE_REQUIRED, WRITTEN, CellState, CodeKind, CodeParams
 from flashmod.field import FieldSpec
 from flashmod.sim import (
     DistributionSpec,
@@ -112,7 +112,7 @@ def reference_run_cycle(params, dist, rng):
             out = encode(state, x)
             if out is ERASE_REQUIRED:
                 return r_inc, r_total
-            r_inc += out.is_written
+            r_inc += out is WRITTEN
             r_total += 1
 
 
@@ -194,8 +194,9 @@ def test_gamma_upper_bounds_examples():
     assert arbitrary == pytest.approx(3.0, abs=1e-12)
     assert gamma_upper_bounds(1, 2) == (1.0, 1.0)
     assert gamma_upper_bounds(2, 2) == (2.0, 2.0)
-    with pytest.raises(ValueError):
-        gamma_upper_bounds(0, 2)
+    for k, l in ((0, 2), (2, 1), (10**400, 2), (2, 10**400)):  # the last two are past float range
+        with pytest.raises(ValueError):
+            gamma_upper_bounds(k, l)
 
 
 class TestMinOfN:
