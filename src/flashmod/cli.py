@@ -1,12 +1,15 @@
 """Command line front end: sweeps, analytic queries, CSV/JSON emission.
 
-Exit codes: 0 on success, 2 on flag or configuration errors, 1 on
-runtime failures.  A flag's domain is stated once: by its argparse
-type, or, for the values of ``bounds`` (whose comma tuples the handler
-splits), by the function the handler passes them to.  Either way a
-value outside it exits 2 before anything is printed or written.  --seed
-defaults to the FLASHMOD_SEED environment variable, then to 0; that
-default passes through the same type check as the flag.
+Each subcommand handler checks all of its inputs, then returns the run
+as a zero-argument callable.  ``run_cli`` alone maps errors to exit
+codes: 2 for a flag argparse rejects or an error raised while a handler
+checks, so always before any output; 1 for an error raised by the run
+and for failed ``roundtrip`` decodes; 0 otherwise.  A flag's domain is
+stated once: by its argparse type, or, for the values of ``bounds``
+(whose comma tuples the handler splits), by the function the handler
+passes them to.  --seed defaults to the FLASHMOD_SEED environment
+variable, then to 0; that default passes through the same type check as
+the flag.
 """
 
 import argparse
@@ -23,7 +26,7 @@ from .ballsbins import (
     throw_balls,
 )
 from .codes import make_code
-from .core import MAX_LOG2_N, CellState, CodeKind, CodeParams, WriteKind
+from .core import ERASE_REQUIRED, MAX_LOG2_N, CellState, CodeKind, CodeParams
 from .sim import DistributionSpec, cycle_rng, gamma_upper_bounds, run_experiment
 
 __all__ = ["run_cli", "main", "emit_records", "SIMULATE_COLUMNS"]
@@ -45,9 +48,6 @@ SIMULATE_COLUMNS = (
 MAXLOAD_COLUMNS = ("mode", "n", "m", "d", "trials", "mean_max_load", "predicted_max_load", "seed")
 OVERFLOW_COLUMNS = ("mode", "n", "q", "d", "trials", "mean_rewrites", "eta_oracle", "seed")
 
-class UsageError(Exception):
-    """Bad flags or configuration; maps to exit code 2."""
-
 
 def _fmt(value) -> str:
     # floats carry 12 significant digits in every output format
@@ -57,14 +57,15 @@ def _fmt(value) -> str:
 
 
 def _emit(rows, columns, fmt: str, path: str) -> None:
+    """Write rows, tuples in the order of columns, as CSV or a JSON array."""
     if fmt == "csv":
         lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(row[c]) for c in columns) for row in rows)
+        lines.extend(",".join(map(_fmt, row)) for row in rows)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
     elif fmt == "json":
         payload = [
-            {c: float(_fmt(v)) if isinstance(v, float) else v for c, v in ((c, row[c]) for c in columns)}
+            {c: float(_fmt(v)) if isinstance(v, float) else v for c, v in zip(columns, row)}
             for row in rows
         ]
         with open(path, "w", encoding="utf-8") as fh:
@@ -81,24 +82,11 @@ def emit_records(stats, fmt: str, path: str) -> None:
     emission of the same stats carry field-by-field equal values.  An
     unknown fmt raises ValueError before anything is written.
     """
-    rows = []
-    for s in stats:
-        p = s.params
-        rows.append(
-            {
-                "code": p.kind.value,
-                "k": p.k,
-                "l": p.l,
-                "q": p.q,
-                "n": p.n,
-                "cycles": s.cycles,
-                "mean_r_inc": s.mean_r_inc,
-                "mean_r_total": s.mean_r_total,
-                "eta": s.eta,
-                "gamma": s.gamma,
-                "seed": s.seed,
-            }
-        )
+    rows = [
+        (s.params.kind.value, s.params.k, s.params.l, s.params.q, s.params.n, s.cycles,
+         s.mean_r_inc, s.mean_r_total, s.eta, s.gamma, s.seed)
+        for s in stats
+    ]
     _emit(rows, SIMULATE_COLUMNS, fmt, path)
 
 
@@ -138,11 +126,8 @@ def _load_dist(spec: str | None, size: int) -> DistributionSpec:
     if spec is None:
         return DistributionSpec.uniform(size)
     if os.path.isfile(spec):
-        try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read distribution file {spec!r}: {exc}") from None
+        with open(spec, "r", encoding="utf-8") as fh:
+            text = fh.read()
         tokens = []
         for line in text.splitlines():
             line = line.split("#", 1)[0].strip()
@@ -151,19 +136,16 @@ def _load_dist(spec: str | None, size: int) -> DistributionSpec:
     elif "," in spec:
         tokens = [part.strip() for part in spec.split(",") if part.strip()]
     else:
-        raise UsageError(f"distribution {spec!r} is neither a readable file nor an inline comma list")
+        raise ValueError(f"distribution {spec!r} is neither a readable file nor an inline comma list")
     try:
         probs = [float(tok) for tok in tokens]
     except ValueError:
-        raise UsageError(f"distribution {spec!r} contains a non-numeric entry") from None
+        raise ValueError(f"distribution {spec!r} contains a non-numeric entry") from None
     if len(probs) != size:
-        raise UsageError(f"distribution has {len(probs)} entries, need {size}")
-    try:
-        dist = DistributionSpec(probs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(f"distribution has {len(probs)} entries, need {size}")
+    dist = DistributionSpec(probs)
     if dist.support_size < 2:  # a cycle under a point mass never reaches an erase
-        raise UsageError("distribution needs >= 2 values with positive probability")
+        raise ValueError("distribution needs >= 2 values with positive probability")
     return dist
 
 
@@ -217,100 +199,76 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args) -> int:
-    try:
-        params_list = [CodeParams(k=args.k, l=2, q=q, kind=CodeKind(args.code)) for q in args.q]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _cmd_simulate(args):
+    params_list = [CodeParams(k=args.k, l=2, q=q, kind=CodeKind(args.code)) for q in args.q]
     dist = _load_dist(args.dist, params_list[0].value_count)
-    stats = [run_experiment(p, dist, args.cycles, args.seed) for p in params_list]
-    emit_records(stats, args.format, args.out)
-    return 0
+    return lambda: emit_records(
+        [run_experiment(p, dist, args.cycles, args.seed) for p in params_list], args.format, args.out
+    )
 
 
-def _cmd_ballsbins(args) -> int:
+def _cmd_ballsbins(args):
     def trial_mean(sweep_index: int, trial) -> float:
         first = sweep_index * args.trials
         return sum(trial(cycle_rng(args.seed, first + t)) for t in range(args.trials)) / args.trials
 
-    shared = {"mode": args.mode, "n": args.n, "trials": args.trials, "seed": args.seed}
-    rows = []
     if args.mode == "maxload":
         if args.m is None:
-            raise UsageError("maxload mode needs --m")
+            raise ValueError("maxload mode needs --m")
         if args.q is not None:
-            raise UsageError("maxload mode takes no --q")
-        try:  # configuration errors surface before any trial runs
-            predictions = [max_load_prediction(args.n, args.m, d) for d in args.d]
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        for sweep_index, (d, prediction) in enumerate(zip(args.d, predictions)):
-            mean_max_load = trial_mean(sweep_index, lambda rng: int(throw_balls(args.n, args.m, d, rng).max()))
-            rows.append(
-                {
-                    **shared,
-                    "m": args.m,
-                    "d": d,
-                    "mean_max_load": mean_max_load,
-                    "predicted_max_load": prediction.predicted_max_load,
-                }
-            )
-        _emit(rows, MAXLOAD_COLUMNS, args.format, args.out)
-        return 0
+            raise ValueError("maxload mode takes no --q")
+        predictions = [max_load_prediction(args.n, args.m, d).predicted_max_load for d in args.d]
+
+        def rows():
+            for sweep_index, (d, predicted) in enumerate(zip(args.d, predictions)):
+                mean = trial_mean(sweep_index, lambda rng: int(throw_balls(args.n, args.m, d, rng).max()))
+                yield args.mode, args.n, args.m, d, args.trials, mean, predicted, args.seed
+
+        return lambda: _emit(rows(), MAXLOAD_COLUMNS, args.format, args.out)
     if args.q is None:
-        raise UsageError("overflow mode needs --q")
+        raise ValueError("overflow mode needs --q")
     if args.m is not None:
-        raise UsageError("overflow mode takes no --m")
-    for sweep_index, (q, d) in enumerate((q, d) for q in args.q for d in args.d):
-        mean_rewrites = trial_mean(sweep_index, lambda rng: balls_until_overflow(args.n, q, d, rng))
-        rows.append(
-            {
-                **shared,
-                "q": q,
-                "d": d,
-                "mean_rewrites": mean_rewrites,
-                "eta_oracle": 1.0 - mean_rewrites / (args.n * (q - 1)),
-            }
-        )
-    _emit(rows, OVERFLOW_COLUMNS, args.format, args.out)
-    return 0
+        raise ValueError("overflow mode takes no --m")
+
+    def rows():
+        for sweep_index, (q, d) in enumerate((q, d) for q in args.q for d in args.d):
+            mean = trial_mean(sweep_index, lambda rng: balls_until_overflow(args.n, q, d, rng))
+            yield args.mode, args.n, q, d, args.trials, mean, 1.0 - mean / (args.n * (q - 1)), args.seed
+
+    return lambda: _emit(rows(), OVERFLOW_COLUMNS, args.format, args.out)
 
 
-def _parse_fields(text: str, names: tuple[str, ...], caster) -> list:
+def _parse_fields(text: str, names: tuple[str, ...], cast) -> list:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != len(names):
-        raise UsageError(f"expected {','.join(names)}, got {text!r}")
+        raise ValueError(f"expected {','.join(names)}, got {text!r}")
     try:
-        return [cast(part) for cast, part in zip(caster, parts)]
+        return [cast(part) for part in parts]
     except ValueError:
-        raise UsageError(f"non-numeric entry in {text!r}") from None
+        raise ValueError(f"non-numeric entry in {text!r}") from None
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     lines = []
-    try:
-        if args.gamma_bounds:
-            k, l = _parse_fields(args.gamma_bounds, ("K", "L"), (int, int))
-            single, arbitrary = gamma_upper_bounds(k, l)
-            lines.append(f"gamma_bounds(k={k}, l={l}): single_change={_fmt(single)} arbitrary_change={_fmt(arbitrary)}")
-        if args.max_load:
-            n, m, d = _parse_fields(args.max_load, ("N", "M", "D"), (int, int, int))
-            pred = max_load_prediction(n, m, d)
-            lines.append(f"max_load(n={n}, m={m}, d={d}) = {_fmt(pred.predicted_max_load)} [{pred.regime.value}]")
-        if args.collision:
-            m, n, k = _parse_fields(args.collision, ("M", "N", "K"), (float, float, float))
-            bound = collision_bound(m, n, k)
-            lines.append(f"collision_bound(m={_fmt(m)}, n={_fmt(n)}, k={_fmt(k)}) = {_fmt(bound)}")
-        if args.dc is not None:
-            lines.append(f"dc({_fmt(args.dc)}) = {_fmt(solve_dc(args.dc))}")
-        if args.lambertw is not None:
-            lines.append(f"lambert_w0({_fmt(args.lambertw)}) = {_fmt(lambert_w0(args.lambertw))}")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.gamma_bounds:
+        k, l = _parse_fields(args.gamma_bounds, ("K", "L"), int)
+        single, arbitrary = gamma_upper_bounds(k, l)
+        lines.append(f"gamma_bounds(k={k}, l={l}): single_change={_fmt(single)} arbitrary_change={_fmt(arbitrary)}")
+    if args.max_load:
+        n, m, d = _parse_fields(args.max_load, ("N", "M", "D"), int)
+        pred = max_load_prediction(n, m, d)
+        lines.append(f"max_load(n={n}, m={m}, d={d}) = {_fmt(pred.predicted_max_load)} [{pred.regime.value}]")
+    if args.collision:
+        m, n, k = _parse_fields(args.collision, ("M", "N", "K"), float)
+        bound = collision_bound(m, n, k)
+        lines.append(f"collision_bound(m={_fmt(m)}, n={_fmt(n)}, k={_fmt(k)}) = {_fmt(bound)}")
+    if args.dc is not None:
+        lines.append(f"dc({_fmt(args.dc)}) = {_fmt(solve_dc(args.dc))}")
+    if args.lambertw is not None:
+        lines.append(f"lambert_w0({_fmt(args.lambertw)}) = {_fmt(lambert_w0(args.lambertw))}")
     if not lines:
-        raise UsageError("bounds needs at least one of --gamma-bounds/--max-load/--collision/--dc/--lambertw")
-    print("\n".join(lines))
-    return 0
+        raise ValueError("bounds needs at least one of --gamma-bounds/--max-load/--collision/--dc/--lambertw")
+    return lambda: print("\n".join(lines))
 
 
 def _roundtrip_point(params: CodeParams, writes: int, seed: int, stream: int) -> int:
@@ -325,8 +283,7 @@ def _roundtrip_point(params: CodeParams, writes: int, seed: int, stream: int) ->
         for x in rng.integers(0, values, size=256).tolist():
             if done >= writes:
                 break
-            outcome = code.encode(state, x)
-            if outcome.kind is WriteKind.ERASE_REQUIRED:
+            if code.encode(state, x) is ERASE_REQUIRED:
                 state = CellState.zeros(params.n, params.q)  # new cycle, write not counted
                 continue
             if code.decode(state) != x:
@@ -335,20 +292,21 @@ def _roundtrip_point(params: CodeParams, writes: int, seed: int, stream: int) ->
     return failures
 
 
-def _cmd_roundtrip(args) -> int:
+def _cmd_roundtrip(args):
     names = sorted(kind.value for kind in CodeKind) if args.code == "both" else [args.code]
-    try:  # every point is configured before the first one runs or prints
-        points = [CodeParams(k=k, l=2, q=q, kind=CodeKind(name)) for name in names for k in args.k for q in args.q]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    total_failures = 0
-    for stream, params in enumerate(points):
-        failures = _roundtrip_point(params, args.writes, args.seed, stream)
-        total_failures += failures
-        print(f"roundtrip code={params.kind.value} k={params.k} q={params.q} writes={args.writes}: failures={failures}")
-    verdict = "PASS" if total_failures == 0 else "FAIL"
-    print(f"roundtrip total failures: {total_failures} [{verdict}]")
-    return 0 if total_failures == 0 else 1
+    points = [CodeParams(k=k, l=2, q=q, kind=CodeKind(name)) for name in names for k in args.k for q in args.q]
+
+    def run() -> int:
+        total_failures = 0
+        for stream, params in enumerate(points):
+            failures = _roundtrip_point(params, args.writes, args.seed, stream)
+            total_failures += failures
+            print(f"roundtrip code={params.kind.value} k={params.k} q={params.q} writes={args.writes}: failures={failures}")
+        verdict = "PASS" if total_failures == 0 else "FAIL"
+        print(f"roundtrip total failures: {total_failures} [{verdict}]")
+        return 0 if total_failures == 0 else 1
+
+    return run
 
 
 _HANDLERS = {
@@ -360,19 +318,18 @@ _HANDLERS = {
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return 0 if exc.code in (0, None) else 2
+    exit_code = 2  # until the handler has checked every input and returned the run
     try:
-        return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        run = _HANDLERS[args.command](args)
+        exit_code = 1
+        return run() or 0  # a run returns None, or 1 for failed roundtrip decodes
     except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exit_code
 
 
 def main() -> None:

@@ -188,12 +188,16 @@ def gamma_upper_bounds(k: int, l: int) -> tuple[float, float]:
     Returns (log2(k*l), k*log2(l)).  The first applies when a single one
     of the k variables may change per rewrite (k*l possible new values),
     the second when the whole k-variable may change arbitrarily (l**k
-    possible new values).  k and l may not exceed sys.float_info.max.
+    possible new values).  k and l may not exceed sys.float_info.max, and
+    neither may the second ceiling.
     """
     top = sys.float_info.max
     if not (1 <= k <= top and 2 <= l <= top):
         raise ValueError(f"need k >= 1 and l >= 2 within float range, got k={k}, l={l}")
-    return math.log2(k * l), k * math.log2(l)
+    arbitrary = k * math.log2(l)
+    if arbitrary > top:
+        raise ValueError(f"k*log2(l) is beyond float range for k={k}, l={l}")
+    return math.log2(k * l), arbitrary
 
 
 def min_of_n_expectation(samples, n: int) -> float:

@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import os
+import signal
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashmod.cli import SIMULATE_COLUMNS, emit_records, run_cli
@@ -11,6 +17,7 @@ from flashmod.core import CellState, CodeKind, CodeParams
 from flashmod.sim import DistributionSpec, run_experiment
 
 HUGE = "1" + "0" * 400  # an integer literal beyond float range
+NEAR_MAX = str(int(1.7e308))  # within float range, but k*log2(4) = 2k is not
 
 
 def read_csv(path):
@@ -113,6 +120,9 @@ def test_simulate_dist_errors_exit_2(tmp_path, capsys):
     short.write_text("0.5\n0.5\n")
     assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", str(short), "--out", out]) == 2
     assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", "0.5,0.5,0.25", "--out", out]) == 2
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"\xff0.5\n0.5\n0\n0\n")
+    assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", str(not_utf8), "--out", out]) == 2
     capsys.readouterr()
     for law in ("0.5,nan,0.5,0", "inf,0,0,0", "0.5,0.5,-inf,inf"):
         assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", law, "--out", out]) == 2
@@ -232,6 +242,7 @@ def test_bounds_domain_errors_exit_2(capsys):
         f"--max-load 10,{HUGE},2",
         f"--max-load {HUGE},10,1",
         f"--gamma-bounds {HUGE},2",
+        f"--gamma-bounds {NEAR_MAX},4",  # a finite k whose ceiling k*log2(l) is not
     ):
         assert run_cli(["bounds", *argv.split()]) == 2, argv
         captured = capsys.readouterr()
@@ -249,13 +260,122 @@ numeric_tokens = st.one_of(
 ).map(str)
 
 
+@st.composite
+def bounds_argv(draw):
+    flag = draw(st.sampled_from(sorted(BOUNDS_ARITY)))
+    tokens = draw(st.lists(numeric_tokens, min_size=BOUNDS_ARITY[flag], max_size=BOUNDS_ARITY[flag]))
+    return ["bounds", f"{flag}={','.join(tokens)}"]  # '=' keeps a leading '-' a value
+
+
 @settings(max_examples=200)
-@given(st.sampled_from(sorted(BOUNDS_ARITY)), st.data())
-def test_bounds_argv_exits_0_or_2(flag, data):
-    "Any numbers on a bounds flag give a result or exit 2; never a traceback or exit 1."
-    tokens = data.draw(st.lists(numeric_tokens, min_size=BOUNDS_ARITY[flag], max_size=BOUNDS_ARITY[flag]))
-    argv = ["bounds", f"{flag}={','.join(tokens)}"]  # '=' keeps a leading '-' a value
-    assert run_cli(argv) in (0, 2), argv
+@given(bounds_argv())
+@example(["bounds", f"--gamma-bounds={NEAR_MAX},4"])
+def test_bounds_argv_exits_0_or_2(argv):
+    "Any numbers on a bounds flag give a finite result or exit 2; never a traceback or exit 1."
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        rc = run_cli(argv)
+    assert rc in (0, 2), argv
+    if rc == 0:
+        assert "inf" not in stdout.getvalue() and "nan" not in stdout.getvalue(), argv
+
+
+class ExampleTimeout(Exception):
+    """An example ran past its deadline.  Not an OSError (as TimeoutError
+    is), so run_cli does not turn it into an exit code."""
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Interrupt the block once it has run for seconds of wall time."""
+
+    def expire(signum, frame):
+        raise ExampleTimeout(f"example ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# small sizes keep every run short, and the 2..5 branch makes valid argv common;
+# junk and non-finite strings must exit 2
+size_tokens = st.one_of(
+    st.integers(-3, 5).map(str),
+    st.integers(2, 5).map(str),
+    st.sampled_from(["nan", "inf", ",", "1,,2", "abc", "2.0"]),
+)
+# 10^400 only where the domain rejects it (--k, --n, --m) or absorbs it (--seed)
+huge_tokens = size_tokens | st.just(HUGE)
+codes = st.sampled_from([kind.value for kind in CodeKind])
+formats = st.sampled_from(["csv", "json"])
+
+
+def comma_list(tokens):
+    return st.lists(tokens, min_size=1, max_size=2).map(",".join)
+
+
+#: per subcommand, each flag and the values it draws; {dir} is the example's temporary directory
+RUN_FLAGS = {
+    "simulate": {
+        "--code": codes,
+        "--k": huge_tokens,
+        "--q": comma_list(size_tokens),
+        "--cycles": size_tokens,
+        "--seed": huge_tokens,
+        "--dist": st.sampled_from(
+            ["0.5,0.5", "0.25,0.25,0.25,0.25", "nan,1", "1,0", "0.5", "{dir}/law.txt", "{dir}/missing.txt", "{dir}"]
+        ),
+        "--format": formats,
+    },
+    "ballsbins": {
+        "--mode": st.sampled_from(["maxload", "overflow"]),
+        "--n": huge_tokens,
+        "--m": huge_tokens,
+        "--q": comma_list(size_tokens),
+        "--d": comma_list(size_tokens),
+        "--trials": size_tokens,
+        "--seed": huge_tokens,
+        "--format": formats,
+    },
+    "roundtrip": {
+        "--code": st.sampled_from(["both", *(kind.value for kind in CodeKind)]),
+        "--k": comma_list(huge_tokens),
+        "--q": comma_list(size_tokens),
+        "--writes": size_tokens,
+        "--seed": huge_tokens,
+    },
+}
+#: given in every example: the required flags, and the work sizes, so no run
+#: falls back to a large default (1000 cycles, 10000 writes); other flags are optional
+ALWAYS = {"simulate": {"--k", "--q", "--cycles"}, "ballsbins": {"--n", "--trials"}, "roundtrip": {"--writes"}}
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(RUN_FLAGS)), st.data())
+def test_run_argv_exits_0_1_or_2(command, data):
+    "Any argv exits 0, 1 or 2, never with a traceback; exit 2 prints nothing and writes no --out file."
+    flags = RUN_FLAGS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "law.txt").write_text("0.5\n0.5\n")
+        argv = [command] + [
+            f"{flag}={data.draw(values).format(dir=tmp)}"
+            for flag, values in flags.items()
+            if flag in ALWAYS[command] or data.draw(st.booleans())
+        ]
+        out = data.draw(st.sampled_from([f"{tmp}/out.csv", f"{tmp}/no/out.csv"]))
+        if command != "roundtrip":
+            argv.append(f"--out={out}")
+        stdout = io.StringIO()
+        with deadline(10.0), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            rc = run_cli(argv)
+        assert rc in (0, 1, 2), argv
+        if rc == 2:
+            assert stdout.getvalue() == "", argv
+            assert not os.path.exists(out), argv
 
 
 def test_roundtrip_command(capsys, monkeypatch):

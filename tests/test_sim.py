@@ -194,7 +194,8 @@ def test_gamma_upper_bounds_examples():
     assert arbitrary == pytest.approx(3.0, abs=1e-12)
     assert gamma_upper_bounds(1, 2) == (1.0, 1.0)
     assert gamma_upper_bounds(2, 2) == (2.0, 2.0)
-    for k, l in ((0, 2), (2, 1), (10**400, 2), (2, 10**400)):  # the last two are past float range
+    # past float range: k or l, and then a finite k whose ceiling k*log2(l) is not
+    for k, l in ((0, 2), (2, 1), (10**400, 2), (2, 10**400), (int(1.7e308), 4)):
         with pytest.raises(ValueError):
             gamma_upper_bounds(k, l)
 
