@@ -66,11 +66,11 @@ def _place(n: int, d: int, rng: np.random.Generator, balls: int, cap: int) -> li
     the lower bin index.  d above n means every bin, so d = min(d, n).
     d <= 2 draws in blocks of min(balls left to draw, _CHUNK): the first
     members over all n bins, then for d=2 the second members over the
-    other n-1 bins; for d=1 the second member is the first.  d>2 draws
-    rng.choice(n, d) per ball and lets its least loaded candidate stand
-    in as both members of the pair.  Placement stops before the first
-    ball whose bin already holds cap balls.  Returns the bin loads; they
-    sum to the balls placed.
+    other n-1 bins, each pair then sorted low bin first; for d=1 the
+    second member is the first.  d>2 draws rng.choice(n, d) per ball and
+    lets its least loaded candidate stand in as both members of the
+    pair.  Placement stops before the first ball whose bin already holds
+    cap balls.  Returns the bin loads; they sum to the balls placed.
     """
     d = min(d, n)
     counts = [0] * n
@@ -82,6 +82,7 @@ def _place(n: int, d: int, rng: np.random.Generator, balls: int, cap: int) -> li
             if d == 2:
                 second = rng.integers(0, n - 1, size=size)
                 second += second >= first
+                first, second = np.minimum(first, second), np.maximum(first, second)
             else:
                 second = first
             pairs = zip(first.tolist(), second.tolist())
@@ -93,7 +94,7 @@ def _place(n: int, d: int, rng: np.random.Generator, balls: int, cap: int) -> li
         for c0, c1 in pairs:
             l0 = counts[c0]
             l1 = counts[c1]
-            if l1 < l0 or (l1 == l0 and c1 < c0):
+            if l1 < l0:  # a pair is sorted, so a tie keeps the lower bin
                 c0, l0 = c1, l1
             if l0 == cap:
                 return counts

@@ -4,7 +4,9 @@ Each subcommand handler checks all of its inputs, then returns the run
 as a zero-argument callable.  ``run_cli`` alone maps errors to exit
 codes: 2 for a flag argparse rejects or an error raised while a handler
 checks, so always before any output; 1 for an error raised by the run
-and for failed ``roundtrip`` decodes; 0 otherwise.  A flag's domain is
+and for failed ``roundtrip`` decodes; 0 otherwise.  An --out in a
+missing directory is an error while checking; an --out that cannot be
+opened for writing fails in the run.  A flag's domain is
 stated once: by its argparse type, or, for the values of ``bounds``
 (whose comma tuples the handler splits), by the function the handler
 passes them to.  --seed defaults to the FLASHMOD_SEED environment
@@ -199,7 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(path: str) -> None:
+    """Reject an --out whose directory is missing before any work runs."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"output directory {directory!r} does not exist")
+
+
 def _cmd_simulate(args):
+    _check_out_dir(args.out)
     params_list = [CodeParams(k=args.k, l=2, q=q, kind=CodeKind(args.code)) for q in args.q]
     dist = _load_dist(args.dist, params_list[0].value_count)
     return lambda: emit_records(
@@ -208,6 +218,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_ballsbins(args):
+    _check_out_dir(args.out)
+
     def trial_mean(sweep_index: int, trial) -> float:
         first = sweep_index * args.trials
         return sum(trial(cycle_rng(args.seed, first + t)) for t in range(args.trials)) / args.trials

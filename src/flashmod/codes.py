@@ -37,6 +37,7 @@ class SelfRandomizedCode:
             raise ValueError(f"params describe a {params.kind.value} code")
         self.params = params
         self._mod = params.value_count
+        self._q = params.q
 
     def decode(self, state: CellState) -> int:
         """Value currently stored; a function of the state alone."""
@@ -52,7 +53,7 @@ class SelfRandomizedCode:
         mod = self._mod
         if not 0 <= value < mod:
             raise ValueError(f"value {value} outside [0, {mod})")
-        if state.q != self.params.q or len(state.levels) != mod:
+        if state.q != self._q or len(state.levels) != mod:
             raise _mismatch(state, self.params)
         r = state.level_sum
         current = (state.weighted_level_sum - r * (r + 1) // 2) % mod
@@ -82,6 +83,9 @@ class LoadBalancingCode:
     That is sound because cell_increment, the only way a CellState's sums
     change, adds exactly one to the level sum.  An erase forgets the state
     (no finished cycle is kept alive); threads sharing a code only miss.
+    A state's cell count and q are checked when it enters the memo, on a
+    miss; a hit is the same object, already checked.  The value's range is
+    checked on every write.
     """
 
     def __init__(self, params: CodeParams):
@@ -121,24 +125,26 @@ class LoadBalancingCode:
         candidates from the field tables; test_codes checks all three
         methods against one reference.
         """
-        n, values = self._n, self._values
+        values = self._values
         if not 0 <= value < values:
             raise ValueError(f"value {value} outside [0, {values})")
-        if state.q != self.params.q or len(state.levels) != n:
-            raise _mismatch(state, self.params)
         r = state.level_sum
         last = self._last
         if last[0] is not state or last[1] != r:
+            if state.q != self.params.q or len(state.levels) != self._n:
+                raise _mismatch(state, self.params)
             last = self._last = (state, r, self.decode(state))
+            # read with the field decode just used, so a cycle sees one field
+            self._tables = self.field.exp, self.field.log
         if last[2] == value:
             return NOOP
-        raw = state.weighted_level_sum % n
-        exp, log = self.field.exp, self.field.log
+        exp, log = self._tables
+        w, n = state.weighted_level_sum, self._n
         r += 1
         la = log[r % (values - 1) + 1]
         b = r % values
-        first = (((exp[la + log[value]] if value else 0) ^ b) - raw) % n
-        second = ((exp[la + log[value | values]] ^ b) - raw) % n
+        first = (((exp[la + log[value]] if value else 0) ^ b) - w) % n
+        second = ((exp[la + log[value | values]] ^ b) - w) % n
         levels = state.levels
         # ties go to the first candidate, which keeps runs reproducible
         out = cell_increment(state, second if levels[second] < levels[first] else first)

@@ -155,9 +155,10 @@ def cell_increment(state: CellState, idx: int) -> WriteOutcome:
     levels = state.levels
     if not 0 <= idx < len(levels):
         raise IndexError(f"cell index {idx} outside [0, {len(levels)})")
-    if levels[idx] == state.q - 1:
+    level = levels[idx]
+    if level == state.q - 1:
         return ERASE_REQUIRED
-    levels[idx] += 1
+    levels[idx] = level + 1
     state.level_sum += 1
     state.weighted_level_sum += idx
     return WRITTEN

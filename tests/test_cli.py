@@ -459,6 +459,23 @@ def test_ballsbins_flag_validation(tmp_path, monkeypatch):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_unwritable_output_is_runtime_failure(tmp_path):
-    rc = run_cli(["simulate", "--k", "1", "--q", "4", "--cycles", "5", "--out", str(tmp_path / "no" / "dir.csv")])
-    assert rc == 1
+def test_unwritable_output_is_runtime_failure(tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "no" / "dir.csv")
+    simulate = ["simulate", "--k", "1", "--q", "4", "--cycles", "5", "--out"]
+    ballsbins = ["ballsbins", "--mode", "overflow", "--n", "8", "--q", "4", "--trials", "2", "--out"]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an --out in a missing directory must exit before any work")
+
+    # a missing directory is a configuration error: exit 2 before any cycle or trial
+    with monkeypatch.context() as m:
+        m.setattr("flashmod.cli.run_experiment", no_work)
+        m.setattr("flashmod.cli.balls_until_overflow", no_work)
+        for argv in (simulate, ballsbins):
+            assert run_cli(argv + [missing]) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: output directory"), argv[0]
+    assert not (tmp_path / "no").exists()
+    # an --out naming a directory fails only when the run opens it: exit 1
+    for argv in (simulate, ballsbins):
+        assert run_cli(argv + [str(tmp_path)]) == 1, argv[0]

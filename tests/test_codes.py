@@ -288,6 +288,23 @@ def test_codes_reject_mismatched_state():
         lb.candidate_cells(CellState.zeros(16, 7), 1)
     with pytest.raises(ValueError, match="state has q=7, code needs q=4"):
         lb.encode(CellState.zeros(16, 7), 1)
+    # the load-balancing code checks a state's shape when the state enters
+    # its memo, so a mismatched state is refused while a good one is held
+    decodes = []
+    true_decode = lb.decode
+    lb.decode = lambda state: decodes.append(state) or true_decode(state)
+    good = CellState.zeros(16, 4)
+    assert lb.encode(good, 1) is WRITTEN and decodes == [good]
+    for bad, match in ((CellState.zeros(8, 4), "cells"), (CellState.zeros(16, 7), "q=7")):
+        with pytest.raises(ValueError, match=match):
+            lb.encode(bad, 2)
+        assert bad.level_sum == 0 and not any(bad.levels)
+    assert lb.encode(good, 2) is WRITTEN and decodes == [good]  # still a memo hit
+    assert true_decode(good) == 2
+    for value in (-1, 8):  # the range check runs on a memo hit too
+        with pytest.raises(ValueError, match="outside"):
+            lb.encode(good, value)
+    assert good.level_sum == 2
 
 
 # Reference codes: the first implementation of both codes, kept as the

@@ -136,6 +136,10 @@ def hot_law(size):
 )
 @example(kind=CodeKind.LOAD_BALANCING, k=10, q=16, hot=True, seed=7, index=3)
 @example(kind=CodeKind.SELF_RANDOMIZED, k=10, q=4, hot=False, seed=8, index=0)
+# n = 2 and n = 4 cells: run_cycle's blocks double from 2n, so these cycles
+# cross several block boundaries while the reference draws 512 at a time
+@example(kind=CodeKind.SELF_RANDOMIZED, k=1, q=16, hot=False, seed=9, index=1)
+@example(kind=CodeKind.LOAD_BALANCING, k=1, q=16, hot=True, seed=10, index=2)
 def test_run_cycle_matches_reference_loop(kind, k, q, hot, seed, index):
     "CycleStats equal a reference loop's on the same stream: same draws, outcomes and counts."
     params = CodeParams(k=k, l=2, q=q, kind=kind)
