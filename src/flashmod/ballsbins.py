@@ -7,7 +7,7 @@ lowest bin index.  d=1 is plain uniform placement; d=2 is the
 two-random-choices rule the load-balancing code imitates, whose two
 candidate cells are always distinct.  The analytic half predicts the
 maximum load in the regimes the codes operate in, plus the root solver
-and Lambert W evaluation the m = c*n*ln(n) prediction needs.
+the m = c*n*ln(n) prediction needs and the Lambert W that checks it.
 
 All randomness comes from caller-supplied numpy Generators, so trials
 parallelize with independently seeded streams.
@@ -177,8 +177,8 @@ def max_load_prediction(n: int, m: float, d: int) -> RegimePrediction:
         d=1 with m below n*ln(n): ln(n) / ln(n*ln(n)/m), which reduces to
         ln(n)/ln(ln(n)) at m=n.  d=1 with m = c*n*ln(n): (dc(c)-1)*ln(n)
         with dc from solve_dc.  d>=2: m/n + ln(ln(n))/ln(d).  Each is
-        raised to ceil(m/n) where it falls below: some bin always holds
-        at least that many balls.
+        held between ceil(m/n) and m: some bin always holds at least
+        ceil(m/n) balls, and none holds more than the m thrown.
 
     These are leading-order point estimates: at moderate n the d=1 value
     undershoots the observed mean noticeably (the next-order corrections
@@ -199,7 +199,20 @@ def max_load_prediction(n: int, m: float, d: int) -> RegimePrediction:
         regime, load = LoadRegime.LINEAR_M, ln_n / math.log(n_log_n / m)
     else:
         regime, load = LoadRegime.N_LOG_N, (solve_dc(m / n_log_n) - 1.0) * ln_n
-    return RegimePrediction(regime, max(load, float(math.ceil(m / n))))
+    return RegimePrediction(regime, min(max(load, float(math.ceil(m / n))), float(m)))
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Halve [lo, hi], f(lo) < 0 <= f(hi), to adjacent floats; return the end with smaller |f|."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi if abs(f(hi)) < abs(f(lo)) else lo
 
 
 def solve_dc(c: float) -> float:
@@ -230,19 +243,10 @@ def solve_dc(c: float) -> float:
             term *= t / j
         return c * h - 1.0
 
-    lo = 0.0  # excess(0) = -1 < 0
     hi = min(2.0 * math.sqrt(2.0 / c), 1.0)  # t < 1 for c >= 1, near sqrt(2/c) for large c
     while excess(hi) < 0.0:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if excess(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = hi if abs(excess(hi)) < abs(excess(lo)) else lo
+    t = _bisect(excess, 0.0, hi)  # excess(0) = -1 < 0
     return c + c * math.expm1(t) if t <= 0.1 else math.exp(ln_c + t)
 
 
@@ -252,10 +256,10 @@ _BRANCH_POINT = -math.exp(-1.0)
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function.
 
-    Returns the w >= -1 with w*exp(w) = x, defined for x >= -1/e.  A
-    series guess near the branch point (a log-based guess elsewhere) is
-    refined with Halley iterations until the residual w*exp(w) - x sits
-    at machine level.
+    Returns the w >= -1 with w*exp(w) = x, defined for x >= -1/e.  W0(x)
+    lies between max(-1, min(0, e*x)) and log1p(x), where w*exp(w) - x
+    increases in w, so it is bisected there to adjacent floats, which
+    keeps its relative precision from subnormal x to the float maximum.
 
     Raises
     ------
@@ -264,27 +268,4 @@ def lambert_w0(x: float) -> float:
     """
     if not _BRANCH_POINT <= x < math.inf:
         raise ValueError(f"lambert_w0 needs finite x >= -1/e ~= {_BRANCH_POINT:.9f}, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < -0.3:
-        # expansion in p = sqrt(2(e*x + 1)) around w(-1/e) = -1
-        p = math.sqrt(max(2.0 * (math.e * x + 1.0), 0.0))
-        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    elif x <= math.e:
-        w = math.log1p(x)
-    else:
-        lx = math.log(x)
-        w = lx - math.log(lx)
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= 1e-14 * max(1.0, abs(x)):
-            break
-        wp1 = w + 1.0
-        if wp1 == 0.0:
-            w = -1.0 + 1e-12
-            continue
-        w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        if w < -1.0:
-            w = -1.0
-    return w
+    return _bisect(lambda w: w * math.exp(w) - x, max(-1.0, min(0.0, math.e * x)), math.log1p(x))

@@ -202,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out_dir(path: str) -> None:
-    """Reject an --out whose directory is missing before any work runs."""
+    """Reject an empty --out, or one whose directory is missing, before any work runs."""
+    if not path:
+        raise ValueError("output directory: --out is empty, so it names no file")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"output directory {directory!r} does not exist")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -217,12 +218,15 @@ def test_max_load_prediction_formulas():
     p = max_load_prediction(n, n, 2)
     assert p.regime is LoadRegime.TWO_CHOICE
     assert p.predicted_max_load == pytest.approx(1.0 + math.log(ln_n) / math.log(2.0), abs=1e-12)
-    # no regime predicts below the pigeonhole floor ceil(m/n)
+    # no regime predicts below the pigeonhole floor ceil(m/n) ...
     for n, m, d, regime, floor in (
         (3, 1, 1, LoadRegime.LINEAR_M, 1.0),
         (3, 1, 2, LoadRegime.TWO_CHOICE, 1.0),
         (10, 2, 1, LoadRegime.LINEAR_M, 1.0),
         (3, 7, 2, LoadRegime.TWO_CHOICE, 3.0),
+        # ... nor above the pigeonhole ceiling m: no bin holds more balls than were thrown
+        (1_000_000, 1, 2, LoadRegime.TWO_CHOICE, 1.0),
+        (64, 266, 1, LoadRegime.LINEAR_M, 266.0),
     ):
         p = max_load_prediction(n, m, d)
         assert (p.regime, p.predicted_max_load) == (regime, floor), (n, m, d)
@@ -288,6 +292,13 @@ def test_lambert_w0_residual_on_grid():
 
 
 def test_lambert_w0_matches_scipy():
+    # near -1/e the problem itself is ill-conditioned, so this grid is held to an absolute tolerance
     grid = np.linspace(-math.exp(-1.0) + 1e-6, 10.0, 57)
     for x in grid.tolist():
         assert lambert_w0(x) == pytest.approx(scipy.special.lambertw(x).real, abs=1e-10)
+    # away from it W0 is well conditioned: relative accuracy from subnormal x to the float maximum
+    positive = np.exp(np.linspace(math.log(5e-324), math.log(sys.float_info.max), 201))
+    positive[[0, -1]] = 5e-324, sys.float_info.max
+    negative = -np.exp(np.linspace(math.log(1e-300), math.log(1e-2), 101))
+    for x in positive.tolist() + negative.tolist():
+        assert lambert_w0(x) == pytest.approx(scipy.special.lambertw(x).real, rel=1e-13, abs=0.0), x

@@ -199,6 +199,9 @@ def test_bounds_max_load_respects_the_pigeonhole_floor(capsys):
     # one ball in three bins has max load 1, whatever the leading-order formula says
     assert run_cli(["bounds", "--max-load", "3,1,1"]) == 0
     assert capsys.readouterr().out == "max_load(n=3, m=1, d=1) = 1 [linear-m]\n"
+    # nor can a bin hold more than the m balls thrown, near the linear-m singularity too
+    assert run_cli(["bounds", "--max-load", "64,266,1"]) == 0
+    assert capsys.readouterr().out == "max_load(n=64, m=266, d=1) = 266 [linear-m]\n"
 
 
 def test_bounds_all_flags(capsys):
@@ -221,6 +224,9 @@ def test_bounds_all_flags(capsys):
     assert "[two-choice]" in out
     assert "collision_bound" in out
     assert "lambert_w0(0) = 0" in out
+    # --lambertw takes one value; at the top of float range it keeps every printed digit
+    assert run_cli(["bounds", "--lambertw=1e308"]) == 0
+    assert capsys.readouterr().out == "lambert_w0(1e+308) = 702.641362034\n"
 
 
 def test_bounds_requires_a_flag():
@@ -465,16 +471,17 @@ def test_unwritable_output_is_runtime_failure(tmp_path, monkeypatch, capsys):
     ballsbins = ["ballsbins", "--mode", "overflow", "--n", "8", "--q", "4", "--trials", "2", "--out"]
 
     def no_work(*args, **kwargs):
-        raise AssertionError("an --out in a missing directory must exit before any work")
+        raise AssertionError("an empty --out or one in a missing directory must exit before any work")
 
-    # a missing directory is a configuration error: exit 2 before any cycle or trial
+    # a missing directory or an empty path is a configuration error: exit 2 before any cycle or trial
     with monkeypatch.context() as m:
         m.setattr("flashmod.cli.run_experiment", no_work)
         m.setattr("flashmod.cli.balls_until_overflow", no_work)
-        for argv in (simulate, ballsbins):
-            assert run_cli(argv + [missing]) == 2, argv[0]
-            captured = capsys.readouterr()
-            assert captured.out == "" and captured.err.startswith("error: output directory"), argv[0]
+        for out in (missing, ""):
+            for argv in (simulate, ballsbins):
+                assert run_cli(argv + [out]) == 2, (argv[0], out)
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err.startswith("error: output directory"), (argv[0], out)
     assert not (tmp_path / "no").exists()
     # an --out naming a directory fails only when the run opens it: exit 1
     for argv in (simulate, ballsbins):

@@ -1,8 +1,4 @@
-"""Smoke test: the quick demos run to completion in-process.
-
-demos/03_efficiency_sweep.py is left out on purpose: its sweep takes
-about 10 s, more than the rest of this module's cost many times over.
-"""
+"""Smoke test: every demo runs to completion in-process."""
 
 import runpy
 from pathlib import Path
@@ -14,7 +10,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 @pytest.mark.parametrize(
     "script",
-    ["01_code_walkthrough.py", "02_power_of_two_choices.py", "04_analytic_toolkit.py"],
+    ["01_code_walkthrough.py", "02_power_of_two_choices.py", "03_efficiency_sweep.py", "04_analytic_toolkit.py"],
 )
 def test_demo_runs(script, capsys):
     runpy.run_path(str(DEMOS / script), run_name="__main__")
