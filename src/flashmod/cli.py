@@ -6,12 +6,10 @@ codes: 2 for a flag argparse rejects or an error raised while a handler
 checks, so always before any output; 1 for an error raised by the run
 and for failed ``roundtrip`` decodes; 0 otherwise.  An --out in a
 missing directory is an error while checking; an --out that cannot be
-opened for writing fails in the run.  A flag's domain is
-stated once: by its argparse type, or, for the values of ``bounds``
-(whose comma tuples the handler splits), by the function the handler
-passes them to.  --seed defaults to the FLASHMOD_SEED environment
-variable, then to 0; that default passes through the same type check as
-the flag.
+opened for writing fails in the run.  A flag's syntax is its argparse
+type, and its domain is stated once: by that type, or by the function
+the handler passes its values to.  Every input comes from argv (and a
+--dist file it names); no environment variable is read.
 """
 
 import argparse
@@ -109,45 +107,44 @@ def _at_least(minimum: int, maximum: int | None = None):
     return parse
 
 
-def _list_of(minimum: int):
-    """argparse type: a non-empty comma list of integers, each >= minimum."""
-    item = _at_least(minimum)
+def _commas(item, names: str | None = None):
+    """argparse type: a non-empty comma list, each value read by item;
+    blank items are skipped.  With names (e.g. "N,M,D"), the list must
+    have one value per name."""
 
-    def parse(text: str) -> list[int]:
-        values = [item(part) for part in text.split(",") if part.strip()]
-        if not values:
-            raise argparse.ArgumentTypeError(f"expected a comma-separated list of integers, got {text!r}")
+    def parse(text: str) -> list:
+        try:
+            values = [item(part) for part in text.split(",") if part.strip()]
+        except ValueError:  # from int or float; an item's ArgumentTypeError passes through
+            raise argparse.ArgumentTypeError(f"non-numeric entry in {text!r}") from None
+        if not values or (names is not None and len(values) != names.count(",") + 1):
+            raise argparse.ArgumentTypeError(f"expected {names or 'a comma-separated list'}, got {text!r}")
         return values
 
     return parse
 
 
 def _load_dist(spec: str | None, size: int) -> DistributionSpec:
-    """Input law from a file (one probability per line, '#' comments),
-    an inline comma list, or the uniform default."""
+    """Input law from a file (probabilities one per line or comma-separated,
+    '#' comments), an inline comma list, or the uniform default."""
     if spec is None:
         return DistributionSpec.uniform(size)
     if os.path.isfile(spec):
         with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        tokens = []
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.append(line)
+            spec_text = ",".join(line.split("#", 1)[0] for line in fh)
     elif "," in spec:
-        tokens = [part.strip() for part in spec.split(",") if part.strip()]
+        spec_text = spec
     else:
         raise ValueError(f"distribution {spec!r} is neither a readable file nor an inline comma list")
     try:
-        probs = [float(tok) for tok in tokens]
+        probs = [float(part) for part in spec_text.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"distribution {spec!r} contains a non-numeric entry") from None
     if len(probs) != size:
         raise ValueError(f"distribution has {len(probs)} entries, need {size}")
     dist = DistributionSpec(probs)
     if dist.support_size < 2:  # a cycle under a point mass never reaches an erase
-        raise ValueError("distribution needs >= 2 values with positive probability")
+        raise ValueError(f"distribution needs >= 2 values with positive probability above {DistributionSpec.TOLERANCE:g}")
     return dist
 
 
@@ -163,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument(
         "--seed",
         type=_at_least(0),
-        default=os.environ.get("FLASHMOD_SEED", "0"),
-        help="master seed (default: $FLASHMOD_SEED, then 0)",
+        default=0,
+        help="master seed (default: 0)",
     )
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", required=True, help="output file")
@@ -173,29 +170,33 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=[seeded, output], help="sweep q for one code and record eta/gamma")
     sim.add_argument("--code", choices=codes, default="self-randomized")
     sim.add_argument("--k", type=int, required=True, help="variables per group")
-    sim.add_argument("--q", type=_list_of(2), required=True, help="comma-separated q sweep, e.g. 2,4,8,16,32")
+    sim.add_argument("--q", type=_commas(_at_least(2)), required=True, help="comma-separated q sweep, e.g. 2,4,8,16,32")
     sim.add_argument("--cycles", type=_at_least(1), default=1000, help="erasure cycles per sweep point")
-    sim.add_argument("--dist", default=None, help="input law: file (one prob per line) or inline p0,p1,...")
+    sim.add_argument("--dist", default=None, help="input law: file (one prob per line or comma) or inline p0,p1,...")
 
     balls = sub.add_parser("ballsbins", parents=[seeded, output], help="d-choice random loading sweeps")
     balls.add_argument("--mode", choices=("maxload", "overflow"), default="maxload")
     balls.add_argument("--n", type=_at_least(1, 1 << MAX_LOG2_N), required=True, help="bins")
     balls.add_argument("--m", type=_at_least(1), default=None, help="balls per trial (maxload mode)")
-    balls.add_argument("--q", type=_list_of(2), default=None, help="comma-separated level counts (overflow mode)")
-    balls.add_argument("--d", type=_list_of(1), default="1", help="comma-separated choice counts, e.g. 1,2")
+    balls.add_argument("--q", type=_commas(_at_least(2)), default=None, help="comma-separated level counts (overflow mode)")
+    balls.add_argument("--d", type=_commas(_at_least(1)), default="1", help="comma-separated choice counts, e.g. 1,2")
     balls.add_argument("--trials", type=_at_least(1), default=100)
 
     bounds = sub.add_parser("bounds", help="evaluate the analytic formulas")
-    bounds.add_argument("--gamma-bounds", metavar="K,L", help="storage efficiency ceilings")
-    bounds.add_argument("--max-load", metavar="N,M,D", help="max-load point prediction")
-    bounds.add_argument("--collision", metavar="M,N,K", help="per-bin load tail bound")
-    bounds.add_argument("--dc", type=float, metavar="C", help="largest root scaling the c*n*ln(n) regime")
-    bounds.add_argument("--lambertw", type=float, metavar="X", help="principal Lambert W at X")
+    # every bounds flag may repeat; flags print in this order, a flag's values in argv order
+    bounds.add_argument("--gamma-bounds", type=_commas(int, "K,L"), action="append", metavar="K,L",
+                        help="storage efficiency ceilings")
+    bounds.add_argument("--max-load", type=_commas(int, "N,M,D"), action="append", metavar="N,M,D",
+                        help="max-load point prediction")
+    bounds.add_argument("--collision", type=_commas(float, "M,N,K"), action="append", metavar="M,N,K",
+                        help="per-bin load tail bound")
+    bounds.add_argument("--dc", type=float, action="append", metavar="C", help="largest root scaling the c*n*ln(n) regime")
+    bounds.add_argument("--lambertw", type=float, action="append", metavar="X", help="principal Lambert W at X")
 
     rt = sub.add_parser("roundtrip", parents=[seeded], help="random-write decodability check")
     rt.add_argument("--code", choices=("both", *codes), default="both")
-    rt.add_argument("--k", type=_list_of(1), default="1,2,3", help="comma-separated k values")
-    rt.add_argument("--q", type=_list_of(2), default="4,8,16", help="comma-separated q values")
+    rt.add_argument("--k", type=_commas(_at_least(1)), default="1,2,3", help="comma-separated k values")
+    rt.add_argument("--q", type=_commas(_at_least(2)), default="4,8,16", help="comma-separated q values")
     rt.add_argument("--writes", type=_at_least(1), default=10000, help="writes per (code, k, q) point")
 
     return parser
@@ -252,34 +253,21 @@ def _cmd_ballsbins(args):
     return lambda: _emit(rows(), OVERFLOW_COLUMNS, args.format, args.out)
 
 
-def _parse_fields(text: str, names: tuple[str, ...], cast) -> list:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != len(names):
-        raise ValueError(f"expected {','.join(names)}, got {text!r}")
-    try:
-        return [cast(part) for part in parts]
-    except ValueError:
-        raise ValueError(f"non-numeric entry in {text!r}") from None
-
-
 def _cmd_bounds(args):
     lines = []
-    if args.gamma_bounds:
-        k, l = _parse_fields(args.gamma_bounds, ("K", "L"), int)
+    for k, l in args.gamma_bounds or ():
         single, arbitrary = gamma_upper_bounds(k, l)
         lines.append(f"gamma_bounds(k={k}, l={l}): single_change={_fmt(single)} arbitrary_change={_fmt(arbitrary)}")
-    if args.max_load:
-        n, m, d = _parse_fields(args.max_load, ("N", "M", "D"), int)
+    for n, m, d in args.max_load or ():
         pred = max_load_prediction(n, m, d)
         lines.append(f"max_load(n={n}, m={m}, d={d}) = {_fmt(pred.predicted_max_load)} [{pred.regime.value}]")
-    if args.collision:
-        m, n, k = _parse_fields(args.collision, ("M", "N", "K"), float)
+    for m, n, k in args.collision or ():
         bound = collision_bound(m, n, k)
         lines.append(f"collision_bound(m={_fmt(m)}, n={_fmt(n)}, k={_fmt(k)}) = {_fmt(bound)}")
-    if args.dc is not None:
-        lines.append(f"dc({_fmt(args.dc)}) = {_fmt(solve_dc(args.dc))}")
-    if args.lambertw is not None:
-        lines.append(f"lambert_w0({_fmt(args.lambertw)}) = {_fmt(lambert_w0(args.lambertw))}")
+    for c in args.dc or ():
+        lines.append(f"dc({_fmt(c)}) = {_fmt(solve_dc(c))}")
+    for x in args.lambertw or ():
+        lines.append(f"lambert_w0({_fmt(x)}) = {_fmt(lambert_w0(x))}")
     if not lines:
         raise ValueError("bounds needs at least one of --gamma-bounds/--max-load/--collision/--dc/--lambertw")
     return lambda: print("\n".join(lines))

@@ -77,7 +77,8 @@ class DistributionSpec:
 
     @property
     def support_size(self) -> int:
-        return int((self.probs > 0).sum())
+        # a mass within TOLERANCE of 0 may never be drawn, so it ends no cycle
+        return int((self.probs > self.TOLERANCE).sum())
 
     def sample_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count i.i.d. draws as an int array (inverse-CDF sampling)."""

@@ -23,7 +23,7 @@ from flashmod.ballsbins import (
 )
 from flashmod.cli import run_cli
 from flashmod.codes import make_code
-from flashmod.core import CellState, CodeKind, CodeParams, WriteKind
+from flashmod.core import ERASE_REQUIRED, CellState, CodeKind, CodeParams
 from flashmod.field import FieldSpec, gf_inv, gf_mul
 from flashmod.sim import DistributionSpec, cycle_rng, run_cycle, run_experiment
 
@@ -136,7 +136,7 @@ def test_criterion_1_round_trip_decodability():
                         if done >= writes_per_point:
                             break
                         out = code.encode(state, x)
-                        if out.kind is WriteKind.ERASE_REQUIRED:
+                        if out is ERASE_REQUIRED:
                             state = CellState.zeros(params.n, params.q)
                             continue
                         if code.decode(state) != x:

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import signal
 import tempfile
 from pathlib import Path
@@ -16,6 +18,7 @@ from flashmod.codes import SelfRandomizedCode
 from flashmod.core import CellState, CodeKind, CodeParams
 from flashmod.sim import DistributionSpec, run_experiment
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 HUGE = "1" + "0" * 400  # an integer literal beyond float range
 NEAR_MAX = str(int(1.7e308))  # within float range, but k*log2(4) = 2k is not
 
@@ -100,16 +103,17 @@ def test_simulate_rejects_bad_q(tmp_path, monkeypatch, capsys):
 
 def test_simulate_dist_file(tmp_path):
     dist = tmp_path / "dist.txt"
-    dist.write_text("# skewed law over 4 values\n0.7\n0.1\n0.1\n0.1\n")
-    out = tmp_path / "skew.csv"
-    rc = run_cli(
-        ["simulate", "--k", "2", "--q", "4", "--cycles", "20", "--dist", str(dist), "--out", str(out)]
-    )
-    assert rc == 0
+    # a file line may hold several comma-separated values, as an inline list does
+    dist.write_text("# skewed law over 4 values\n0.7,0.1  # p0, p1\n0.1\n0.1\n")
+    out, inline = tmp_path / "skew.csv", tmp_path / "inline.csv"
+    base = ["simulate", "--k", "2", "--q", "4", "--cycles", "20"]
+    assert run_cli(base + ["--dist", str(dist), "--out", str(out)]) == 0
     assert len(read_csv(out)) == 2
+    assert run_cli(base + ["--dist", "0.7,0.1,0.1,0.1", "--out", str(inline)]) == 0
+    assert out.read_bytes() == inline.read_bytes()
 
 
-def test_simulate_dist_errors_exit_2(tmp_path, capsys):
+def test_simulate_dist_errors_exit_2(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "x.csv")
     missing = str(tmp_path / "nope.txt")
     assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", missing, "--out", out]) == 2
@@ -127,9 +131,15 @@ def test_simulate_dist_errors_exit_2(tmp_path, capsys):
     for law in ("0.5,nan,0.5,0", "inf,0,0,0", "0.5,0.5,-inf,inf"):
         assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", law, "--out", out]) == 2
         assert "finite" in capsys.readouterr().err
-    for law in ("1,0,0,0", "0,0,1,0"):  # a point mass never forces an erase
-        assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", law, "--out", out]) == 2
-        assert "positive probability" in capsys.readouterr().err
+
+    def no_runs(*args):
+        raise AssertionError("a cycle ran under a law that cannot end it")
+
+    monkeypatch.setattr("flashmod.cli.run_experiment", no_runs)
+    # a point mass never forces an erase, nor does a second mass too small ever to be drawn
+    for k, law in (("2", "1,0,0,0"), ("2", "0,0,1,0"), ("1", "1e-300,1"), ("1", "1,1e-300")):
+        assert run_cli(["simulate", "--k", k, "--q", "4", "--cycles", "2", "--dist", law, "--out", out]) == 2, law
+        assert "positive probability" in capsys.readouterr().err, law
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -147,15 +157,16 @@ def test_missing_subcommand_or_flags_exit_2(tmp_path):
     assert run_cli(["nonsense"]) == 2
 
 
-def test_env_seed_fallback(tmp_path, monkeypatch):
-    out1, out2, out3 = (tmp_path / f"{i}.csv" for i in range(3))
+def test_seed_comes_from_argv_alone(tmp_path, monkeypatch):
     base = ["simulate", "--k", "2", "--q", "4", "--cycles", "20"]
-    monkeypatch.setenv("FLASHMOD_SEED", "99")
-    assert run_cli(base + ["--out", str(out1)]) == 0
-    assert run_cli(base + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    assert run_cli(base + ["--seed", "99", "--out", str(out3)]) == 0
-    assert out1.read_bytes() == out3.read_bytes()  # flag and env agree
+    seeded = tmp_path / "seeded.csv"
+    assert run_cli(base + ["--seed", "0", "--out", str(seeded)]) == 0
+    # no environment variable stands in for --seed: an unseeded run is seed 0
+    for env in ("99", "not-a-number"):
+        monkeypatch.setenv("FLASHMOD_SEED", env)
+        unseeded = tmp_path / f"unseeded-{env}.csv"
+        assert run_cli(base + ["--out", str(unseeded)]) == 0, env
+        assert unseeded.read_bytes() == seeded.read_bytes(), env
 
     def no_runs(*args):
         raise AssertionError("a cycle ran before the seed check")
@@ -163,9 +174,6 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     monkeypatch.setattr("flashmod.cli.run_experiment", no_runs)
     bad = tmp_path / "bad.csv"
     assert run_cli(base + ["--seed", "-1", "--out", str(bad)]) == 2
-    for env in ("not-a-number", "-1"):
-        monkeypatch.setenv("FLASHMOD_SEED", env)
-        assert run_cli(base + ["--out", str(bad)]) == 2
     assert not bad.exists()
 
 
@@ -224,9 +232,18 @@ def test_bounds_all_flags(capsys):
     assert "[two-choice]" in out
     assert "collision_bound" in out
     assert "lambert_w0(0) = 0" in out
-    # --lambertw takes one value; at the top of float range it keeps every printed digit
+    # at the top of float range --lambertw keeps every printed digit
     assert run_cli(["bounds", "--lambertw=1e308"]) == 0
     assert capsys.readouterr().out == "lambert_w0(1e+308) = 702.641362034\n"
+    # a repeated flag prints each value, in argv order, and flags keep their fixed order
+    argv = "bounds --dc 1 --max-load 10000,10000,1 --dc 2 --max-load 10000,10000,2"
+    assert run_cli(argv.split()) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "max_load(n=10000, m=10000, d=1) = 4.1481913138 [linear-m]",
+        "max_load(n=10000, m=10000, d=2) = 4.2032544727 [two-choice]",
+        "dc(1) = 2.71828182846",
+        "dc(2) = 4.311070407",
+    ]
 
 
 def test_bounds_requires_a_flag():
@@ -254,6 +271,10 @@ def test_bounds_domain_errors_exit_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err.startswith("error: "), argv
+    # a bad value among repeats fails the call, as does a tuple of the wrong arity or a non-number
+    for argv in ("--dc -1 --dc 1", "--max-load 3,1", "--collision 1,x,1"):
+        assert run_cli(["bounds", *argv.split()]) == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 #: bounds flags and how many comma-separated numbers each takes
 BOUNDS_ARITY = {"--gamma-bounds": 2, "--max-load": 3, "--collision": 3, "--dc": 1, "--lambertw": 1}
@@ -486,3 +507,13 @@ def test_unwritable_output_is_runtime_failure(tmp_path, monkeypatch, capsys):
     # an --out naming a directory fails only when the run opens it: exit 1
     for argv in (simulate, ballsbins):
         assert run_cli(argv + [str(tmp_path)]) == 1, argv[0]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    "Every flashmod line of README's command-line block runs and exits 0."
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("flashmod ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run_cli(shlex.split(line)[1:]) == 0, line

@@ -13,7 +13,6 @@ from flashmod.core import (
     CellState,
     CodeKind,
     CodeParams,
-    WriteKind,
     cell_increment,
 )
 from flashmod.field import FieldSpec, gf_inv, gf_mul
@@ -51,7 +50,7 @@ class TestSelfRandomized:
         assert code.encode(state, 1) is WRITTEN
         assert state.levels == [2, 0, 0, 0]
         # writing the decoded value again changes nothing
-        assert code.encode(state, 1).kind is WriteKind.NOOP
+        assert code.encode(state, 1) is NOOP
         assert state.levels == [2, 0, 0, 0]
 
     def test_full_cell_signals_erase(self):
@@ -121,7 +120,7 @@ class TestLoadBalancing:
     def test_noop_when_value_already_stored(self):
         code = make_code(lb_params(2, 4))
         state = CellState.zeros(8, 4)
-        assert code.encode(state, 0).kind is WriteKind.NOOP
+        assert code.encode(state, 0) is NOOP
 
     def test_candidates_are_always_distinct(self):
         code = make_code(lb_params(2, 16))
@@ -224,8 +223,8 @@ def test_encode_memo_tracks_state_identity(q):
             out = code.encode(state, x)
             expected = reference_lb_encode(params, field, mirror, x)
             # a write raises at most one cell by one, so the sums name it
-            assert (out.kind, state.level_sum, state.weighted_level_sum) == (
-                expected.kind,
+            assert (out, state.level_sum, state.weighted_level_sum) == (
+                expected,
                 mirror.level_sum,
                 mirror.weighted_level_sum,
             ), (k, x)
@@ -387,8 +386,8 @@ def test_encode_matches_reference_code(kind, q):
                     outcome = code.encode(state, x)
                     expected = ref_encode(ref_state, x)
                     # a write raises at most one cell by one, so the sums name it
-                    assert (outcome.kind, state.level_sum, state.weighted_level_sum) == (
-                        expected.kind,
+                    assert (outcome, state.level_sum, state.weighted_level_sum) == (
+                        expected,
                         ref_state.level_sum,
                         ref_state.weighted_level_sum,
                     ), (k, seed, x)

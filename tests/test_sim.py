@@ -46,6 +46,7 @@ class TestDistributionSpec:
     def test_support_size(self):
         assert DistributionSpec([0.5, 0.5, 0, 0]).support_size == 2
         assert uniform(2).support_size == 4
+        assert DistributionSpec([1e-300, 1.0]).support_size == 1  # too small ever to be drawn
 
 
 class TestSampling:
