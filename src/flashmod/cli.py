@@ -27,7 +27,7 @@ from .ballsbins import (
 )
 from .codes import make_code
 from .core import ERASE_REQUIRED, MAX_LOG2_N, CellState, CodeKind, CodeParams
-from .sim import DistributionSpec, cycle_rng, gamma_upper_bounds, run_experiment
+from .sim import DistributionSpec, cycle_rng, cycle_rngs, gamma_upper_bounds, run_experiment
 
 __all__ = ["run_cli", "main", "emit_records", "SIMULATE_COLUMNS"]
 
@@ -224,8 +224,8 @@ def _cmd_ballsbins(args):
     _check_out_dir(args.out)
 
     def trial_mean(sweep_index: int, trial) -> float:
-        first = sweep_index * args.trials
-        return sum(trial(cycle_rng(args.seed, first + t)) for t in range(args.trials)) / args.trials
+        rngs = cycle_rngs(args.seed, sweep_index * args.trials, args.trials)
+        return sum(trial(rng) for rng in rngs) / args.trials
 
     if args.mode == "maxload":
         if args.m is None:

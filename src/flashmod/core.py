@@ -133,10 +133,16 @@ class CellState:
 
     @classmethod
     def zeros(cls, n: int, q: int) -> "CellState":
-        """Fresh erased n-cell: all levels zero."""
+        """Fresh erased n-cell: all levels zero, built without __init__'s O(n) checks."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        return cls([0] * n, q)
+        if q < 2:
+            raise ValueError(f"q must be >= 2, got {q}")
+        state = cls.__new__(cls)
+        state.q = q
+        state.levels = [0] * n
+        state.level_sum = state.weighted_level_sum = 0
+        return state
 
     @property
     def n(self) -> int:

@@ -12,6 +12,7 @@ independent.
 """
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ __all__ = [
     "CycleStats",
     "ExperimentStats",
     "cycle_rng",
+    "cycle_rngs",
     "run_cycle",
     "run_experiment",
     "gamma_upper_bounds",
@@ -33,6 +35,14 @@ __all__ = [
 
 _SAMPLE_BLOCK = 512
 
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), with its pool
+# of four 32-bit words, and PCG64's 128-bit LCG multiplier (pcg64.h)
+_POOL, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 4, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_BLOCK = 256  # streams seeded per vectorised pass; bounds the memory of any count
+
 
 class DistributionSpec:
     """Categorical i.i.d. input law over {0, ..., size-1}.
@@ -40,15 +50,17 @@ class DistributionSpec:
     probs must be finite, non-negative and sum to 1 within 1e-9.
     entropy_bits, the Shannon entropy of the law, is the information
     credited per accepted write; for the uniform law over 2**k values it
-    equals k.
+    equals k.  probs is a read-only copy of the caller's sequence.
+    support_size counts the masses above TOLERANCE: a smaller one may
+    never be drawn, so it ends no cycle.
     """
 
-    __slots__ = ("probs", "entropy_bits", "_cum")
+    __slots__ = ("probs", "entropy_bits", "support_size", "_cum")
 
     TOLERANCE = 1e-9
 
     def __init__(self, probs):
-        p = np.asarray(probs, dtype=float)
+        p = np.array(probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probs must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(p)):
@@ -58,7 +70,9 @@ class DistributionSpec:
         total = float(p.sum())
         if abs(total - 1.0) >= self.TOLERANCE:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
+        p.flags.writeable = False
         self.probs = p
+        self.support_size = int((p > self.TOLERANCE).sum())
         positive = p[p > 0]
         self.entropy_bits = float(-(positive * np.log2(positive)).sum())
         cum = np.cumsum(p)
@@ -75,14 +89,9 @@ class DistributionSpec:
     def size(self) -> int:
         return int(self.probs.size)
 
-    @property
-    def support_size(self) -> int:
-        # a mass within TOLERANCE of 0 may never be drawn, so it ends no cycle
-        return int((self.probs > self.TOLERANCE).sum())
-
     def sample_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count i.i.d. draws as an int array (inverse-CDF sampling)."""
-        return np.searchsorted(self._cum, rng.random(count), side="right")
+        return self._cum.searchsorted(rng.random(count), side="right")
 
 
 def cycle_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -93,6 +102,87 @@ def cycle_rng(master_seed: int, index: int) -> np.random.Generator:
     cycles can run in any order or in parallel and still agree.
     """
     return np.random.default_rng(np.random.SeedSequence((master_seed, index)))
+
+
+def _words(value: int) -> list[int]:
+    """value's little-endian 32-bit words, as SeedSequence splits an int."""
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _hasher(multiplier: int, const: int):
+    """SeedSequence's word hash; each call steps the constant it shares."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * multiplier & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> _SHIFT
+
+    return hashmix
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ r >> _SHIFT
+
+
+def _pcg64_states(entropy: list, size: int):
+    """(state, inc) of PCG64(SeedSequence(entropy)) for size streams at once.
+
+    entropy lists the 32-bit entropy words in order: an int is a word
+    every stream shares, a uint32 array holds one word per stream.
+    """
+    words = [np.full(size, w, np.uint32) if isinstance(w, int) else w for w in entropy]
+    words += [np.zeros(size, np.uint32)] * (_POOL - len(words))
+    hashmix = _hasher(_MULT_A, _INIT_A)
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight hashed pool words, paired little-endian
+    hashmix = _hasher(_MULT_B, _INIT_B)
+    out = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(2 * _POOL)]
+    halves = ((out[j] | out[j + 1] << np.uint64(32)).tolist() for j in range(0, 2 * _POOL, 2))
+    # pcg64_set_seed: inc = 2*seq + 1, then two LCG steps from state 0, the seed added between
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*halves):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        yield ((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128, inc
+
+
+def cycle_rngs(master_seed: int, start: int, count: int):
+    """The streams cycle_rng(master_seed, i) for i in start .. start+count-1.
+
+    Bit-identical to cycle_rng stream by stream, at a fraction of its
+    cost: SeedSequence's hash runs vectorised over blocks of indices,
+    and each stream's PCG64 state is set on one Generator, which is
+    yielded again for every index, so use each stream before asking
+    for the next.  Blocks are seeded lazily: any count takes bounded
+    memory.  The arguments are checked at the call, not at the first draw.
+    """
+    master_seed, start, count = map(operator.index, (master_seed, start, count))
+    if min(master_seed, start, count) < 0:
+        raise ValueError(f"expected non-negative integers, got {master_seed}, {start}, {count}")
+    return _seeded(_words(master_seed), start, start + count)
+
+
+def _seeded(seed_words: list[int], start: int, stop: int):
+    rng = np.random.default_rng(0)
+    words = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
+    while start < stop:
+        # a block never crosses a multiple of 2**32, so it shares every index word but the lowest
+        end = min(stop, start + _SEED_BLOCK, (start | _MASK32) + 1)
+        low = np.arange(end - start, dtype=np.uint32) + np.uint32(start & _MASK32)
+        entropy = seed_words + [low] + _words(start)[1:]  # start's high words are the block's
+        for words["state"], words["inc"] in _pcg64_states(entropy, end - start):
+            rng.bit_generator.state = state  # the setter copies the words out of the dict
+            yield rng
+        start = end
 
 
 @dataclass(frozen=True)
@@ -161,18 +251,18 @@ def run_experiment(
 ) -> ExperimentStats:
     """Run independent erasure cycles and aggregate the storage metrics.
 
-    Cycle i consumes the stream cycle_rng(master_seed, i), so a repeat
-    with the same master seed reproduces every cycle exactly.  eta and
-    gamma are computed from incrementing writes only; same-value no-ops
-    show up in mean_r_total.
+    Cycle i consumes the stream cycle_rng(master_seed, i), from
+    cycle_rngs, so a repeat with the same master seed reproduces every
+    cycle exactly.  eta and gamma are computed from incrementing writes
+    only; same-value no-ops show up in mean_r_total.
     """
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
     code = make_code(params)
     total_inc = 0
     total_all = 0
-    for i in range(cycles):
-        stats = run_cycle(code, dist, cycle_rng(master_seed, i))
+    for rng in cycle_rngs(master_seed, 0, cycles):
+        stats = run_cycle(code, dist, rng)
         total_inc += stats.r_inc
         total_all += stats.r_total
     mean_inc = total_inc / cycles

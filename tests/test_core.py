@@ -100,6 +100,21 @@ def test_state_validation():
         CellState(["1", "2"], 4)
 
 
+@given(st.integers(1, 64), st.integers(2, 40))
+def test_zeros_equals_the_checked_constructor(n, q):
+    fresh, checked = CellState.zeros(n, q), CellState([0] * n, q)
+    for name in CellState.__slots__:
+        assert getattr(fresh, name) == getattr(checked, name), name
+    fresh.levels[0] = 1  # no list is shared between states
+    assert CellState.zeros(n, q).levels == [0] * n
+
+
+def test_zeros_validates_n_and_q():
+    for n, q in ((0, 4), (-3, 4), (4, 1), (4, -2)):
+        with pytest.raises(ValueError):
+            CellState.zeros(n, q)
+
+
 def test_params_derive_and_validate_n(monkeypatch):
     def no_cells(*args):
         raise AssertionError("cells were allocated")

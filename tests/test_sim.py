@@ -38,6 +38,15 @@ class TestDistributionSpec:
             with pytest.raises(ValueError, match="finite"):
                 DistributionSpec([0.5, bad, 0.5, 0.0])
 
+    def test_probs_is_a_read_only_copy(self):
+        caller = np.array([0.5, 0.5, 0.0, 0.0])
+        dist = DistributionSpec(caller)
+        caller[:] = [0.0, 0.0, 0.5, 0.5]  # must move neither probs nor the sampler
+        assert dist.probs.tolist() == [0.5, 0.5, 0.0, 0.0]
+        assert set(dist.sample_block(cycle_rng(6, 0), 200).tolist()) == {0, 1}
+        with pytest.raises(ValueError):
+            dist.probs[0] = 1.0
+
     def test_entropy_examples(self):
         assert uniform(3).entropy_bits == pytest.approx(3.0, abs=1e-12)
         assert DistributionSpec([0, 0, 0, 1]).entropy_bits == 0.0
