@@ -15,10 +15,12 @@ parallelize with independently seeded streams.
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
+
+from .core import MAX_LOG2_N
 
 __all__ = [
     "LoadRegime",
@@ -42,19 +44,14 @@ class LoadRegime(Enum):
     TWO_CHOICE = "two-choice"  # d >= 2 random choices
 
 
-@dataclass(frozen=True)
-class RegimePrediction:
+class RegimePrediction(NamedTuple):
     regime: LoadRegime
     predicted_max_load: float
 
-    def __post_init__(self):
-        if not self.predicted_max_load > 0:
-            raise ValueError(f"non-positive prediction {self.predicted_max_load}")
-
 
 def _check_bins(n: int, d: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= 1 << MAX_LOG2_N:
+        raise ValueError(f"n must be in [1, 2^{MAX_LOG2_N}], got {n}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
 

@@ -142,10 +142,7 @@ def _load_dist(spec: str | None, size: int) -> DistributionSpec:
         raise ValueError(f"distribution {spec!r} contains a non-numeric entry") from None
     if len(probs) != size:
         raise ValueError(f"distribution has {len(probs)} entries, need {size}")
-    dist = DistributionSpec(probs)
-    if dist.support_size < 2:  # a cycle under a point mass never reaches an erase
-        raise ValueError(f"distribution needs >= 2 values with positive probability above {DistributionSpec.TOLERANCE:g}")
-    return dist
+    return DistributionSpec(probs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,14 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=[seeded, output], help="sweep q for one code and record eta/gamma")
     sim.add_argument("--code", choices=codes, default="self-randomized")
     sim.add_argument("--k", type=int, required=True, help="variables per group")
-    sim.add_argument("--q", type=_commas(_at_least(2)), required=True, help="comma-separated q sweep, e.g. 2,4,8,16,32")
+    sim.add_argument("--q", type=_commas(int), required=True, help="comma-separated q sweep, e.g. 2,4,8,16,32")
     sim.add_argument("--cycles", type=_at_least(1), default=1000, help="erasure cycles per sweep point")
     sim.add_argument("--dist", default=None, help="input law: file (one prob per line or comma) or inline p0,p1,...")
 
     balls = sub.add_parser("ballsbins", parents=[seeded, output], help="d-choice random loading sweeps")
     balls.add_argument("--mode", choices=("maxload", "overflow"), default="maxload")
     balls.add_argument("--n", type=_at_least(1, 1 << MAX_LOG2_N), required=True, help="bins")
-    balls.add_argument("--m", type=_at_least(1), default=None, help="balls per trial (maxload mode)")
+    balls.add_argument("--m", type=int, default=None, help="balls per trial (maxload mode)")
     balls.add_argument("--q", type=_commas(_at_least(2)), default=None, help="comma-separated level counts (overflow mode)")
     balls.add_argument("--d", type=_commas(_at_least(1)), default="1", help="comma-separated choice counts, e.g. 1,2")
     balls.add_argument("--trials", type=_at_least(1), default=100)
@@ -195,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rt = sub.add_parser("roundtrip", parents=[seeded], help="random-write decodability check")
     rt.add_argument("--code", choices=("both", *codes), default="both")
-    rt.add_argument("--k", type=_commas(_at_least(1)), default="1,2,3", help="comma-separated k values")
-    rt.add_argument("--q", type=_commas(_at_least(2)), default="4,8,16", help="comma-separated q values")
+    rt.add_argument("--k", type=_commas(int), default="1,2,3", help="comma-separated k values")
+    rt.add_argument("--q", type=_commas(int), default="4,8,16", help="comma-separated q values")
     rt.add_argument("--writes", type=_at_least(1), default=10000, help="writes per (code, k, q) point")
 
     return parser

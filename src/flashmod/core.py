@@ -27,8 +27,8 @@ __all__ = [
 ]
 
 #: log2 of the largest cell count, n = 2**24: the largest field GF(n) the
-#: load-balancing code can use, and a bound on what CellState (and the
-#: ballsbins CLI, per bin) allocates.
+#: load-balancing code can use, and a bound on what CellState.zeros (and
+#: the ballsbins placement, per bin) allocates.
 MAX_LOG2_N = max(DEFAULT_POLYS)
 
 
@@ -134,8 +134,8 @@ class CellState:
     @classmethod
     def zeros(cls, n: int, q: int) -> "CellState":
         """Fresh erased n-cell: all levels zero, built without __init__'s O(n) checks."""
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        if not 1 <= n <= 1 << MAX_LOG2_N:
+            raise ValueError(f"n must be in [1, 2^{MAX_LOG2_N}], got {n}")
         if q < 2:
             raise ValueError(f"q must be >= 2, got {q}")
         state = cls.__new__(cls)

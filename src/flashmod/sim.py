@@ -15,6 +15,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,17 +46,17 @@ _SEED_BLOCK = 256  # streams seeded per vectorised pass; bounds the memory of an
 
 
 class DistributionSpec:
-    """Categorical i.i.d. input law over {0, ..., size-1}.
+    """Categorical i.i.d. input law over {0, ..., len(probs)-1}.
 
-    probs must be finite, non-negative and sum to 1 within 1e-9.
+    probs must be finite, non-negative and sum to 1 within TOLERANCE,
+    and at least two must exceed it: a law that draws one value only
+    no-ops forever after its first write, so no cycle would end.
     entropy_bits, the Shannon entropy of the law, is the information
     credited per accepted write; for the uniform law over 2**k values it
     equals k.  probs is a read-only copy of the caller's sequence.
-    support_size counts the masses above TOLERANCE: a smaller one may
-    never be drawn, so it ends no cycle.
     """
 
-    __slots__ = ("probs", "entropy_bits", "support_size", "_cum")
+    __slots__ = ("probs", "entropy_bits", "_cum")
 
     TOLERANCE = 1e-9
 
@@ -70,9 +71,10 @@ class DistributionSpec:
         total = float(p.sum())
         if abs(total - 1.0) >= self.TOLERANCE:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
+        if (p > self.TOLERANCE).sum() < 2:
+            raise ValueError(f"the law needs >= 2 values with positive probability above {self.TOLERANCE:g}")
         p.flags.writeable = False
         self.probs = p
-        self.support_size = int((p > self.TOLERANCE).sum())
         positive = p[p > 0]
         self.entropy_bits = float(-(positive * np.log2(positive)).sum())
         cum = np.cumsum(p)
@@ -84,10 +86,6 @@ class DistributionSpec:
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
         return cls(np.full(size, 1.0 / size))
-
-    @property
-    def size(self) -> int:
-        return int(self.probs.size)
 
     def sample_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count i.i.d. draws as an int array (inverse-CDF sampling)."""
@@ -185,16 +183,11 @@ def _seeded(seed_words: list[int], start: int, stop: int):
         start = end
 
 
-@dataclass(frozen=True)
-class CycleStats:
+class CycleStats(NamedTuple):
     """Counters for one erasure cycle."""
 
     r_inc: int  # writes that incremented a cell level
     r_total: int  # incrementing writes plus same-value no-ops
-
-    def __post_init__(self):
-        if not 0 <= self.r_inc <= self.r_total:
-            raise ValueError(f"inconsistent counts r_inc={self.r_inc}, r_total={self.r_total}")
 
 
 @dataclass(frozen=True)
@@ -221,15 +214,12 @@ def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator) -> CycleSt
     Inputs are drawn in blocks that double from 2n up to _SAMPLE_BLOCK,
     so a short cycle does not sample hundreds of unused inputs; split
     draws continue one stream, so the block sizes never change an input.
-
-    dist needs at least two support points: a single-value law would
-    no-op forever after its first write and the cycle could not end.
+    The cycle ends because DistributionSpec admits only laws that draw
+    two or more values.
     """
     params = code.params
-    if dist.size != params.value_count:
-        raise ValueError(f"dist has {dist.size} entries, code stores {params.value_count} values")
-    if dist.support_size < 2:
-        raise ValueError("dist needs >= 2 support points for the cycle to terminate")
+    if len(dist.probs) != params.value_count:
+        raise ValueError(f"dist has {len(dist.probs)} entries, code stores {params.value_count} values")
     state = CellState.zeros(params.n, params.q)
     encode = code.encode
     erase = ERASE_REQUIRED  # a local read is cheaper than a global one

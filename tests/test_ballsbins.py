@@ -43,6 +43,11 @@ def test_throw_balls_validates_args():
         throw_balls(4, -1, 1, rng)
     with pytest.raises(ValueError):
         throw_balls(4, 1, 0, rng)
+    # one bin past 2^MAX_LOG2_N is refused before the load vector is allocated
+    with pytest.raises(ValueError, match="2\\^24"):
+        throw_balls(2**24 + 1, 1, 1, rng)
+    with pytest.raises(ValueError, match="2\\^24"):
+        balls_until_overflow(2**24 + 1, 2, 2, rng)
 
 
 def test_all_bins_as_candidates_round_robins():

@@ -83,8 +83,9 @@ def test_simulate_csv_and_json_carry_equal_values(tmp_path):
 
 
 def test_simulate_rejects_bad_q(tmp_path, monkeypatch, capsys):
-    rc = run_cli(["simulate", "--k", "2", "--q", "1", "--out", str(tmp_path / "x.csv")])
+    rc = run_cli(["simulate", "--k", "2", "--q", "4,1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+    assert "q must be >= 2" in capsys.readouterr().err  # the range CodeParams states
     rc = run_cli(["simulate", "--k", "2", "--q", "abc", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
 
@@ -426,14 +427,15 @@ def test_roundtrip_command(capsys, monkeypatch):
 
 
 def test_roundtrip_configuration_errors_print_nothing(capsys):
-    for argv in (
-        "roundtrip --code self-randomized --k 1,0 --q 4 --writes 10",
-        "roundtrip --code both --k 2,24 --q 4 --writes 10",  # load-balancing k=24 needs 2^25 cells
-        "roundtrip --k 1 --q 4 --writes 0",
-        "roundtrip --k 1 --q 1,4 --writes 10",
+    for argv, error in (
+        ("roundtrip --code self-randomized --k 1,0 --q 4 --writes 10", "k must be >= 1"),
+        ("roundtrip --code both --k 2,24 --q 4 --writes 10", "2^24"),  # load-balancing k=24 needs 2^25 cells
+        ("roundtrip --k 1 --q 4 --writes 0", "must be >= 1"),
+        ("roundtrip --k 1 --q 1,4 --writes 10", "q must be >= 2"),
     ):
         assert run_cli(argv.split()) == 2, argv
-        assert capsys.readouterr().out == "", argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and error in captured.err, argv
 
 
 def test_ballsbins_maxload_rows(tmp_path):
@@ -460,7 +462,7 @@ def test_ballsbins_overflow_rows(tmp_path):
     assert all(0.0 <= r["eta_oracle"] < 1.0 for r in records)
 
 
-def test_ballsbins_flag_validation(tmp_path, monkeypatch):
+def test_ballsbins_flag_validation(tmp_path, monkeypatch, capsys):
     def no_trials(*args):
         raise AssertionError("a trial ran before the configuration check")
 
@@ -478,6 +480,12 @@ def test_ballsbins_flag_validation(tmp_path, monkeypatch):
     maxload = ["ballsbins", "--mode", "maxload", "--n", "10", "--m", "10", "--out", out]
     for flags in (["--trials", "0"], ["--n", "0"], ["--d", "0"], ["--d", "1,0"], ["--m", "0"], ["--seed", "-1"]):
         assert run_cli(maxload + flags) == 2, flags
+    capsys.readouterr()
+    # --m is a plain int: max_load_prediction states its range, and overflow mode takes none
+    assert run_cli(maxload + ["--m", "0"]) == 2
+    assert "m must be >= 1" in capsys.readouterr().err
+    assert run_cli(["ballsbins", "--mode", "overflow", "--n", "8", "--m", "-1", "--q", "4", "--out", out]) == 2
+    assert "takes no --m" in capsys.readouterr().err
     # more bins than 2^MAX_LOG2_N exit 2 before any load vector is allocated
     for n in (16_777_217, 1_099_511_627_776):
         assert run_cli(maxload + ["--n", str(n), "--m", "1"]) == 2, n

@@ -115,6 +115,12 @@ def test_zeros_validates_n_and_q():
             CellState.zeros(n, q)
 
 
+def test_zeros_refuses_more_cells_than_the_cap():
+    "One cell past 2^MAX_LOG2_N is refused before the level list is built, as CodeParams refuses it."
+    with pytest.raises(ValueError, match="2\\^24"):
+        CellState.zeros(2**24 + 1, 2)
+
+
 def test_params_derive_and_validate_n(monkeypatch):
     def no_cells(*args):
         raise AssertionError("cells were allocated")

@@ -49,21 +49,33 @@ class TestDistributionSpec:
 
     def test_entropy_examples(self):
         assert uniform(3).entropy_bits == pytest.approx(3.0, abs=1e-12)
-        assert DistributionSpec([0, 0, 0, 1]).entropy_bits == 0.0
+        assert DistributionSpec([0.5, 0.5, 0, 0]).entropy_bits == 1.0  # zero masses add nothing
         assert DistributionSpec([0.5, 0.25, 0.25]).entropy_bits == pytest.approx(1.5, abs=1e-12)
 
     def test_support_size(self):
-        assert DistributionSpec([0.5, 0.5, 0, 0]).support_size == 2
-        assert uniform(2).support_size == 4
-        assert DistributionSpec([1e-300, 1.0]).support_size == 1  # too small ever to be drawn
+        "A law must draw two values or more: a point mass no-ops forever, so its cycles never end."
+        # 1e-300 is too small ever to be drawn
+        for probs in ([0, 0, 0, 1], [1.0], [1e-300, 1.0], [1, 1e-300]):
+            with pytest.raises(ValueError, match="positive probability"):
+                DistributionSpec(probs)
+        with pytest.raises(ValueError, match="positive probability"):
+            DistributionSpec.uniform(1)
+
+    def test_point_mass_rejected(self):
+        "The two-value rule counts masses strictly above TOLERANCE, at any position and size."
+        tol = DistributionSpec.TOLERANCE
+        for size in range(1, 7):
+            for pos in range(size):
+                probs = [0.0] * size
+                probs[pos] = 1.0
+                with pytest.raises(ValueError, match="positive probability"):
+                    DistributionSpec(probs)
+        with pytest.raises(ValueError, match="positive probability"):
+            DistributionSpec([1.0 - tol, tol])
+        DistributionSpec([1.0 - 2 * tol, 2 * tol])  # just above the tolerance: drawn, if rarely
 
 
 class TestSampling:
-    def test_point_mass(self):
-        dist = DistributionSpec([0, 0, 0, 1])
-        rng = cycle_rng(0, 0)
-        assert all(int(dist.sample_block(rng, 1)[0]) == 3 for _ in range(50))
-
     def test_zero_probability_values_never_drawn(self):
         dist = DistributionSpec([0.5, 0.5, 0, 0])
         draws = dist.sample_block(cycle_rng(1, 0), 5000)
@@ -96,11 +108,6 @@ class TestRunCycle:
         a = run_cycle(code, uniform(1), cycle_rng(5, 7))
         b = run_cycle(code, uniform(1), cycle_rng(5, 7))
         assert a == b
-
-    def test_point_mass_rejected(self):
-        params = CodeParams(k=1, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED)
-        with pytest.raises(ValueError):
-            run_cycle(make_code(params), DistributionSpec([0, 1]), cycle_rng(0, 0))
 
     def test_dist_size_must_match(self):
         params = CodeParams(k=2, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED)
