@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from test_codes import lb_params, sr_params
+from test_field import broken_axioms, mul_oracle
 
 from flashmod.ballsbins import (
     balls_until_overflow,
@@ -23,20 +25,11 @@ from flashmod.ballsbins import (
 )
 from flashmod.cli import run_cli
 from flashmod.codes import make_code
-from flashmod.core import ERASE_REQUIRED, CellState, CodeKind, CodeParams
-from flashmod.field import FieldSpec, gf_inv, gf_mul
+from flashmod.field import FieldSpec, gf_mul
 from flashmod.sim import DistributionSpec, cycle_rng, run_cycle, run_experiment
 
 FIG2_Q_GRID = (2, 4, 8, 16, 32)
 BIG_Q_GRID = (4, 8, 16)
-
-
-def sr_params(k, q):
-    return CodeParams(k=k, l=2, q=q, kind=CodeKind.SELF_RANDOMIZED)
-
-
-def lb_params(k, q):
-    return CodeParams(k=k, l=2, q=q, kind=CodeKind.LOAD_BALANCING)
 
 
 def max_load_oracle(n, m):
@@ -118,34 +111,16 @@ def big_n_runs():
     return runs
 
 
-def test_criterion_1_round_trip_decodability():
-    failures = 0
-    writes_per_point = 10_000
-    stream = 0
-    for kind in CodeKind:
-        for k in (1, 2, 3):
-            for q in (4, 8, 16):
-                params = CodeParams(k=k, l=2, q=q, kind=kind)
-                code = make_code(params)
-                rng = cycle_rng(5001, stream)
-                stream += 1
-                state = CellState.zeros(params.n, params.q)
-                done = 0
-                while done < writes_per_point:
-                    for x in rng.integers(0, params.value_count, size=512).tolist():
-                        if done >= writes_per_point:
-                            break
-                        out = code.encode(state, x)
-                        if out is ERASE_REQUIRED:
-                            state = CellState.zeros(params.n, params.q)
-                            continue
-                        if code.decode(state) != x:
-                            failures += 1
-                        done += 1
+def test_criterion_1_round_trip_decodability(capsys):
+    # the shipped command's default grid: both codes, k = 1, 2, 3, q = 4, 8, 16,
+    # 10^4 writes per point with a decode after every write
+    rc = run_cli(["roundtrip", "--seed", "5001"])
+    lines = capsys.readouterr().out.splitlines()
+    points = [line for line in lines if "failures=" in line]
     _report(
         "criterion 1 (round-trip decodability)",
-        failures == 0,
-        f"{failures} decode mismatches over 18 grid points x {writes_per_point} writes",
+        rc == 0 and len(points) == 18 and lines[-1].endswith("total failures: 0 [PASS]"),
+        f"exit {rc}, {len(points)} grid points x 10^4 writes; {lines[-1] if lines else 'no report'}",
     )
 
 
@@ -277,19 +252,6 @@ def test_criterion_7_efficiency_bound(scaling_cycles, fig2_runs, big_n_runs):
 
 def test_criterion_8_field_correctness():
     spec16 = FieldSpec(4)
-
-    def mul_oracle(a, b, poly):
-        acc = 0
-        shift = 0
-        while b:
-            if b & 1:
-                acc ^= a << shift
-            b >>= 1
-            shift += 1
-        while acc and acc.bit_length() >= poly.bit_length():
-            acc ^= poly << (acc.bit_length() - poly.bit_length())
-        return acc
-
     mismatches = sum(
         gf_mul(spec16, a, b) != mul_oracle(a, b, spec16.poly) for a in range(16) for b in range(16)
     )
@@ -299,19 +261,7 @@ def test_criterion_8_field_correctness():
         spec = FieldSpec(m)
         rng = np.random.default_rng(6000 + m)
         triples = rng.integers(0, spec.order, size=(10_000, 3)).tolist()
-        for a, b, c in triples:
-            ok = (
-                a ^ b == b ^ a
-                and gf_mul(spec, a, b) == gf_mul(spec, b, a)
-                and gf_mul(spec, gf_mul(spec, a, b), c) == gf_mul(spec, a, gf_mul(spec, b, c))
-                and gf_mul(spec, a, b ^ c) == gf_mul(spec, a, b) ^ gf_mul(spec, a, c)
-                and a ^ 0 == a
-                and gf_mul(spec, a, 1) == a
-            )
-            if ok and a:
-                ok = gf_mul(spec, a, gf_inv(spec, a)) == 1
-            if not ok:
-                axiom_failures += 1
+        axiom_failures += sum(bool(broken_axioms(spec, a, b, c)) for a, b, c in triples)
     _report(
         "criterion 8 (field correctness)",
         mismatches == 0 and axiom_failures == 0,

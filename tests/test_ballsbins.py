@@ -100,21 +100,10 @@ def test_balls_until_overflow_deterministic_cases():
 def test_balls_until_overflow_matches_sequential_reference():
     # the blocked d=1 path agrees with a plain sequential replay of
     # the same stopping rule on one draw of the whole budget
-    def reference(n, q, rng):
-        counts = [0] * n
-        placed = 0
-        draws = rng.integers(0, n, size=n * (q - 1) + 1).tolist()
-        for b in draws:
-            if counts[b] == q - 1:
-                return placed
-            counts[b] += 1
-            placed += 1
-        raise AssertionError("stream exhausted")
-
+    n, q = 8, 5
     for t in range(30):
-        n, q = 8, 5
         fast = balls_until_overflow(n, q, 1, cycle_rng(200, t))
-        slow = reference(n, q, cycle_rng(200, t))
+        slow = sum(_sequential_place(n, 1, cycle_rng(200, t), n * (q - 1) + 1, q - 1))
         assert fast == slow
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashmod.cli import SIMULATE_COLUMNS, emit_records, run_cli
-from flashmod.codes import SelfRandomizedCode
+from flashmod.codes import LoadBalancingCode, SelfRandomizedCode
 from flashmod.core import CellState, CodeKind, CodeParams
 from flashmod.sim import DistributionSpec, run_experiment
 
@@ -128,7 +128,13 @@ def test_simulate_dist_errors_exit_2(tmp_path, monkeypatch, capsys):
     not_utf8 = tmp_path / "latin1.txt"
     not_utf8.write_bytes(b"\xff0.5\n0.5\n0\n0\n")
     assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", str(not_utf8), "--out", out]) == 2
+    not_numeric = tmp_path / "not_numeric.txt"
+    not_numeric.write_text("0.5\nabc\n0.25\n0.25\n")
     capsys.readouterr()
+    for law in ("0.5,x,0.25,0.25", str(not_numeric)):
+        assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", law, "--out", out]) == 2, law
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-numeric" in captured.err, law
     for law in ("0.5,nan,0.5,0", "inf,0,0,0", "0.5,0.5,-inf,inf"):
         assert run_cli(["simulate", "--k", "2", "--q", "4", "--dist", law, "--out", out]) == 2
         assert "finite" in capsys.readouterr().err
@@ -414,16 +420,17 @@ def test_roundtrip_command(capsys, monkeypatch):
     assert "[PASS]" in out
 
     # a decoder that is off by one fails every check, and the command says so
-    true_decode = SelfRandomizedCode.decode
+    for cls, name in ((SelfRandomizedCode, "self-randomized"), (LoadBalancingCode, "load-balancing")):
+        true_decode = cls.decode
 
-    def off_by_one(self, state):
-        return (true_decode(self, state) + 1) % self.params.value_count
+        def off_by_one(self, state, true_decode=true_decode):
+            return (true_decode(self, state) + 1) % self.params.value_count
 
-    monkeypatch.setattr(SelfRandomizedCode, "decode", off_by_one)
-    assert run_cli("roundtrip --code self-randomized --k 2 --q 4 --writes 50".split()) == 1
-    out = capsys.readouterr().out
-    assert "failures=50" in out
-    assert "[FAIL]" in out
+        monkeypatch.setattr(cls, "decode", off_by_one)
+        assert run_cli(f"roundtrip --code {name} --k 2 --q 4 --writes 50".split()) == 1, name
+        out = capsys.readouterr().out
+        assert "failures=50" in out, name
+        assert "[FAIL]" in out, name
 
 
 def test_roundtrip_configuration_errors_print_nothing(capsys):

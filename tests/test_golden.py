@@ -7,10 +7,7 @@ both codes (the load-balancing one up to GF(2^10), the field of a
 case of the one ballsbins placement kernel (d=1, d=2, d>2 and d >= n,
 which the kernel reads as d = n, in both modes, with a d=2 throw longer
 than one draw block) and the roundtrip report, so a refactor that keeps
-these files keeps the fixed-seed output contract.  The d=2 overflow rows were
-re-pinned when that trial's draws were budgeted to n*(q-1)+1 balls
-instead of whole blocks, which changed its stream; d=1 rows, whose
-stream splits into blocks exactly, kept their bytes.
+these files keeps the fixed-seed output contract.
 
 To regenerate a file after a deliberate output change, run its command
 line by hand, writing to the golden path, e.g.
