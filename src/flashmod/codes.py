@@ -3,8 +3,9 @@
 Both codes share one contract: decode reads nothing but the current
 state; encode either does nothing (the state already holds the value),
 raises exactly one cell level by one, or reports that the block must be
-erased first (erasing is the simulator's job).  The load-balancing code
-remembers what its last write stored, so a cycle decodes once.
+erased first (erasing is the simulator's job).  Each code remembers what
+its last write stored, so a cycle works out its stored value once, on
+its first write, and a same-value write costs one comparison.
 """
 
 from .core import ERASE_REQUIRED, NOOP, CellState, CodeKind, CodeParams, WriteOutcome, cell_increment
@@ -30,6 +31,17 @@ class SelfRandomizedCode:
     whose increment moves the decoder onto the new value; because that
     pick is offset by the running count r, repeated writes sweep the
     cells evenly for i.i.d. inputs instead of hammering a few indices.
+
+    encode memoizes (state, level sum, value) of its last write, as the
+    load-balancing code does, and for the same reason it is sound:
+    cell_increment, the only way a CellState's sums change, adds exactly
+    one to the level sum.  An erase forgets the state.  A miss checks the
+    state's q and cell count and computes the value with _stored, the
+    formula decode wraps, not through decode itself: a decode replaced
+    from outside (a tracer, a deliberately broken decoder) leaves what
+    encode writes unchanged, so a round trip still tests it.  A hit is
+    the same object, already checked.  The value's range is checked on
+    every write.
     """
 
     def __init__(self, params: CodeParams):
@@ -38,29 +50,37 @@ class SelfRandomizedCode:
         self.params = params
         self._mod = params.value_count
         self._q = params.q
+        self._last = _FORGOTTEN
+
+    def _stored(self, state: CellState) -> int:
+        r = state.level_sum
+        # r(r+1)/2 is computed in full precision before the reduction
+        return (state.weighted_level_sum - r * (r + 1) // 2) % self._mod
 
     def decode(self, state: CellState) -> int:
         """Value currently stored; a function of the state alone."""
-        mod = self._mod
-        if len(state.levels) != mod:
+        if len(state.levels) != self._mod:
             raise _mismatch(state, self.params)
-        r = state.level_sum
-        # r(r+1)/2 is computed in full precision before the reduction
-        return (state.weighted_level_sum - r * (r + 1) // 2) % mod
+        return self._stored(state)
 
     def encode(self, state: CellState, value: int) -> WriteOutcome:
         """Store value, incrementing at most one cell."""
         mod = self._mod
         if not 0 <= value < mod:
             raise ValueError(f"value {value} outside [0, {mod})")
-        if state.q != self._q or len(state.levels) != mod:
-            raise _mismatch(state, self.params)
         r = state.level_sum
-        current = (state.weighted_level_sum - r * (r + 1) // 2) % mod
+        last = self._last
+        if last[0] is not state or last[1] != r:
+            if state.q != self._q or len(state.levels) != mod:
+                raise _mismatch(state, self.params)
+            last = self._last = (state, r, self._stored(state))
+        current = last[2]
         if current == value:
             return NOOP
         # the cell (value - current) + r + 1 moves both sums onto value
-        return cell_increment(state, (value - current + r + 1) % mod)
+        out = cell_increment(state, (value - current + r + 1) % mod)
+        self._last = _FORGOTTEN if out is ERASE_REQUIRED else (state, r + 1, value)
+        return out
 
 
 class LoadBalancingCode:

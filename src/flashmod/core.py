@@ -156,10 +156,12 @@ def cell_increment(state: CellState, idx: int) -> WriteOutcome:
     """Raise cell idx by one level (WRITTEN), or signal that an erase is due.
 
     The state is untouched when ERASE_REQUIRED is returned.  An
-    out-of-range index is a caller bug and raises IndexError.
+    out-of-range index is a caller bug and raises IndexError: a negative
+    one here, since Python would count it from the end, one past the end
+    from the list read itself.
     """
     levels = state.levels
-    if not 0 <= idx < len(levels):
+    if idx < 0:
         raise IndexError(f"cell index {idx} outside [0, {len(levels)})")
     level = levels[idx]
     if level == state.q - 1:

@@ -78,7 +78,9 @@ class DistributionSpec:
         positive = p[p > 0]
         self.entropy_bits = float(-(positive * np.log2(positive)).sum())
         cum = np.cumsum(p)
-        cum[-1] = 1.0
+        # rounding can leave the sum short of 1 before trailing zero masses,
+        # and a draw above it would land on a value the law never draws
+        cum[np.flatnonzero(p)[-1] :] = 1.0
         self._cum = cum
 
     @classmethod

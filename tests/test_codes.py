@@ -184,62 +184,69 @@ def test_round_trip_property(kind, k, q, seed, values):
 
 @pytest.mark.parametrize("q", [2, 4])
 def test_encode_memo_tracks_state_identity(q):
-    """The load-balancing memo follows the state object, not the code.
+    """The encode memo follows the state object, not the code.
 
-    One code writes into two states in random order; now and then a cell
+    Each code writes into two states in random order; now and then a cell
     of a state and of its mirror is raised directly, and writing goes on
     after an erase.  Every outcome must equal the reference's on the
-    mirror, decode must run exactly when the memo cannot answer for the
-    state at its level sum, and after an erase the code must hold no
-    reference to the state: its count is back to the mirror's, which the
-    code never sees.
+    mirror, the stored value must be worked out (decode for the
+    load-balancing code, _stored for the self-randomized one) exactly
+    when the memo cannot answer for the state at its level sum, and after
+    an erase the code must hold no reference to the state: its count is
+    back to the mirror's, which the code never sees.
     """
-    for k in range(1, 7):
-        params = lb_params(k, q)
-        code = make_code(params)
-        field = FieldSpec(k + 1)
-        decodes = [0]
-        true_decode = code.decode
-
-        def counted_decode(state):
-            decodes[0] += 1
-            return true_decode(state)
-
-        code.decode = counted_decode
-        rng = np.random.default_rng([k, q])
-        states = [CellState.zeros(params.n, q) for _ in range(2)]
-        mirrors = [CellState.zeros(params.n, q) for _ in range(2)]
-        held = None  # (state index, level sum) the memo may answer for
-        erases = hits = 0
-        for _ in range(3000):
-            j = int(rng.integers(2))
-            state, mirror = states[j], mirrors[j]
-            if rng.random() < 0.05:
-                cell = int(rng.integers(params.n))
-                assert cell_increment(state, cell) == cell_increment(mirror, cell)
-                continue
-            x = int(rng.integers(params.value_count))
-            seen, miss = decodes[0], held != (j, state.level_sum)
-            out = code.encode(state, x)
-            expected = reference_lb_encode(params, field, mirror, x)
-            # a write raises at most one cell by one, so the sums name it
-            assert (out, state.level_sum, state.weighted_level_sum) == (
-                expected,
-                mirror.level_sum,
-                mirror.weighted_level_sum,
-            ), (k, x)
-            assert state.levels == mirror.levels
-            assert decodes[0] - seen == miss, (k, x)
-            hits += not miss
-            if out is ERASE_REQUIRED:
-                erases += 1
-                held = None
-                assert sys.getrefcount(state) == sys.getrefcount(mirror)
-                if rng.random() < 0.5:  # otherwise later writes go on into this state
-                    states[j], mirrors[j] = CellState.zeros(params.n, q), CellState.zeros(params.n, q)
+    for kind in CodeKind:
+        miss_path = "decode" if kind is CodeKind.LOAD_BALANCING else "_stored"
+        for k in range(1, 7):
+            params = CodeParams(k=k, l=2, q=q, kind=kind)
+            code = make_code(params)
+            if kind is CodeKind.LOAD_BALANCING:
+                field = FieldSpec(k + 1)
+                ref_encode = lambda st, x: reference_lb_encode(params, field, st, x)  # noqa: E731
             else:
-                held = (j, state.level_sum)
-        assert erases > 0 and hits > 0, (k, erases, hits)
+                ref_encode = lambda st, x: reference_sr_encode(params, st, x)  # noqa: E731
+            misses = [0]
+            true_miss = getattr(code, miss_path)
+
+            def counted_miss(state):
+                misses[0] += 1
+                return true_miss(state)
+
+            setattr(code, miss_path, counted_miss)
+            rng = np.random.default_rng([k, q])
+            states = [CellState.zeros(params.n, q) for _ in range(2)]
+            mirrors = [CellState.zeros(params.n, q) for _ in range(2)]
+            held = None  # (state index, level sum) the memo may answer for
+            erases = hits = 0
+            for _ in range(3000):
+                j = int(rng.integers(2))
+                state, mirror = states[j], mirrors[j]
+                if rng.random() < 0.05:
+                    cell = int(rng.integers(params.n))
+                    assert cell_increment(state, cell) == cell_increment(mirror, cell)
+                    continue
+                x = int(rng.integers(params.value_count))
+                seen, miss = misses[0], held != (j, state.level_sum)
+                out = code.encode(state, x)
+                expected = ref_encode(mirror, x)
+                # a write raises at most one cell by one, so the sums name it
+                assert (out, state.level_sum, state.weighted_level_sum) == (
+                    expected,
+                    mirror.level_sum,
+                    mirror.weighted_level_sum,
+                ), (k, x)
+                assert state.levels == mirror.levels
+                assert misses[0] - seen == miss, (k, x)
+                hits += not miss
+                if out is ERASE_REQUIRED:
+                    erases += 1
+                    held = None
+                    assert sys.getrefcount(state) == sys.getrefcount(mirror)
+                    if rng.random() < 0.5:  # otherwise later writes go on into this state
+                        states[j], mirrors[j] = CellState.zeros(params.n, q), CellState.zeros(params.n, q)
+                else:
+                    held = (j, state.level_sum)
+            assert erases > 0 and hits > 0, (k, erases, hits)
 
 
 @pytest.mark.parametrize("kind", list(CodeKind))
@@ -287,23 +294,25 @@ def test_codes_reject_mismatched_state():
         lb.candidate_cells(CellState.zeros(16, 7), 1)
     with pytest.raises(ValueError, match="state has q=7, code needs q=4"):
         lb.encode(CellState.zeros(16, 7), 1)
-    # the load-balancing code checks a state's shape when the state enters
-    # its memo, so a mismatched state is refused while a good one is held
-    decodes = []
-    true_decode = lb.decode
-    lb.decode = lambda state: decodes.append(state) or true_decode(state)
-    good = CellState.zeros(16, 4)
-    assert lb.encode(good, 1) is WRITTEN and decodes == [good]
-    for bad, match in ((CellState.zeros(8, 4), "cells"), (CellState.zeros(16, 7), "q=7")):
-        with pytest.raises(ValueError, match=match):
-            lb.encode(bad, 2)
-        assert bad.level_sum == 0 and not any(bad.levels)
-    assert lb.encode(good, 2) is WRITTEN and decodes == [good]  # still a memo hit
-    assert true_decode(good) == 2
-    for value in (-1, 8):  # the range check runs on a memo hit too
-        with pytest.raises(ValueError, match="outside"):
-            lb.encode(good, value)
-    assert good.level_sum == 2
+    # both codes check a state's shape when the state enters their memo,
+    # so a mismatched state is refused while a good one is held
+    for code, miss_path in ((lb, "decode"), (make_code(sr_params(4, 4)), "_stored")):
+        n, values = code.params.n, code.params.value_count  # n = 16 for both
+        misses = []
+        true_miss = getattr(code, miss_path)
+        setattr(code, miss_path, lambda state, true_miss=true_miss: misses.append(state) or true_miss(state))
+        good = CellState.zeros(n, 4)
+        assert code.encode(good, 1) is WRITTEN and misses == [good]
+        for bad, match in ((CellState.zeros(8, 4), "cells"), (CellState.zeros(n, 7), "q=7")):
+            with pytest.raises(ValueError, match=match):
+                code.encode(bad, 2)
+            assert bad.level_sum == 0 and not any(bad.levels)
+        assert code.encode(good, 2) is WRITTEN and misses == [good]  # still a memo hit
+        assert true_miss(good) == 2
+        for value in (-1, values):  # the range check runs on a memo hit too
+            with pytest.raises(ValueError, match="outside"):
+                code.encode(good, value)
+        assert good.level_sum == 2
 
 
 # Reference codes: the first implementation of both codes, kept as the

@@ -48,10 +48,11 @@ def test_cell_increment_examples():
 
 
 def test_cell_increment_bad_index_is_a_bug():
-    with pytest.raises(IndexError):
-        cell_increment(CellState([0, 0], 4), 2)
-    with pytest.raises(IndexError):
-        cell_increment(CellState([0, 0], 4), -1)
+    for idx in (-1, 2):
+        state = CellState([1, 2], 4)
+        with pytest.raises(IndexError):
+            cell_increment(state, idx)
+        assert (state.levels, state.level_sum, state.weighted_level_sum) == ([1, 2], 3, 2)
 
 
 @given(level_lists)

@@ -81,6 +81,16 @@ class TestSampling:
         draws = dist.sample_block(cycle_rng(1, 0), 5000)
         assert set(np.unique(draws)) <= {0, 1}
 
+    def test_trailing_zero_mass_never_drawn_below_a_short_sum(self):
+        "A sum just short of 1 must not hand the gap to a zero mass after it."
+
+        class StubRng:
+            def random(self, count):
+                return np.array([0.0, 0.4999999999, 0.5, 0.9999999994, 0.9999999996, np.nextafter(1.0, 0.0)])[:count]
+
+        dist = DistributionSpec([0.5, 0.4999999995, 0.0])
+        assert dist.sample_block(StubRng(), 6).tolist() == [0, 0, 1, 1, 1, 1]
+
     def test_uniform_frequencies_within_3_sigma(self):
         dist = uniform(2)
         draws = dist.sample_block(cycle_rng(2, 0), 100_000)
