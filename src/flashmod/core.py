@@ -57,6 +57,9 @@ class CodeParams:
     n: int = field(default=0, init=False)
 
     def __post_init__(self):
+        # a float q would never equal the top level q - 1, so a cycle would never end
+        for name in ("k", "l", "q"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.l != 2:
@@ -120,6 +123,7 @@ class CellState:
     __slots__ = ("q", "levels", "level_sum", "weighted_level_sum")
 
     def __init__(self, levels, q: int):
+        q = index(q)
         if q < 2:
             raise ValueError(f"q must be >= 2, got {q}")
         levels = [index(v) for v in levels]
@@ -136,6 +140,7 @@ class CellState:
         """Fresh erased n-cell: all levels zero, built without __init__'s O(n) checks."""
         if not 1 <= n <= 1 << MAX_LOG2_N:
             raise ValueError(f"n must be in [1, 2^{MAX_LOG2_N}], got {n}")
+        q = index(q)
         if q < 2:
             raise ValueError(f"q must be >= 2, got {q}")
         state = cls.__new__(cls)

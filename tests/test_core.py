@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -145,6 +146,24 @@ def test_params_derive_and_validate_n(monkeypatch):
     for k, kind in ((25, CodeKind.SELF_RANDOMIZED), (24, CodeKind.LOAD_BALANCING), (10**9, CodeKind.SELF_RANDOMIZED)):
         with pytest.raises(ValueError, match="2\\^24"):
             CodeParams(k=k, l=2, q=4, kind=kind)
+
+
+def test_non_integral_parameters_are_refused_at_construction():
+    "A float q would never reach the top level q - 1, so a cycle on it would never end."
+    sr = CodeKind.SELF_RANDOMIZED
+    for k, l, q in ((3, 2, 16.5), (3, 2, 16.0), (3.0, 2, 16), (3, 2.0, 16)):
+        with pytest.raises(TypeError):
+            CodeParams(k=k, l=l, q=q, kind=sr)
+    for q in (16.5, 16.0):
+        with pytest.raises(TypeError):
+            CellState([0, 0], q)
+        with pytest.raises(TypeError):
+            CellState.zeros(2, q)
+    # integer types other than int still pass, and are stored as int
+    params = CodeParams(k=np.int64(3), l=np.int32(2), q=np.uint8(16), kind=sr)
+    assert (params.k, params.l, params.q, params.n) == (3, 2, 16, 8)
+    assert all(type(v) is int for v in (params.k, params.l, params.q))
+    assert CellState.zeros(2, np.int64(4)).q == 4 == CellState([0, 3], np.int64(4)).q
 
 
 def test_outcome_shapes():
