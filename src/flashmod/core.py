@@ -6,12 +6,15 @@ erase that resets them belongs to the simulation layer, so the state
 itself only ever increments.  Decoders read two aggregates of the state,
 the plain level sum and the index-weighted level sum, and both are
 maintained incrementally so a read costs O(1) instead of O(n).
+CodeParams and WriteOutcome are plain slotted Records rather than
+decorated ones: the standard library's record decorator imports inspect,
+ast and dis, which cost more to load than the whole package.
 """
 
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import index
 
+from ._record import Record
 from .field import DEFAULT_POLYS
 
 __all__ = [
@@ -39,8 +42,7 @@ class CodeKind(Enum):
     LOAD_BALANCING = "load-balancing"
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(Record):
     """Static configuration of one n-cell code instance.
 
     k is the number of stored variables, l the alphabet size (only the
@@ -50,31 +52,26 @@ class CodeParams:
     n = l**(k+1).  n may not exceed 2**MAX_LOG2_N.
     """
 
-    k: int
-    l: int
-    q: int
-    kind: CodeKind
-    n: int = field(default=0, init=False)
+    __slots__ = _fields = ("k", "l", "q", "kind", "n")
 
-    def __post_init__(self):
+    def __init__(self, k: int, l: int, q: int, kind: CodeKind):
         # a float q would never equal the top level q - 1, so a cycle would never end
-        for name in ("k", "l", "q"):
-            object.__setattr__(self, name, index(getattr(self, name)))
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.l != 2:
-            raise ValueError(f"only the binary alphabet l=2 is supported, got l={self.l}")
-        if self.q < 2:
-            raise ValueError(f"q must be >= 2, got {self.q}")
-        if not isinstance(self.kind, CodeKind):
-            raise TypeError(f"kind must be a CodeKind, got {self.kind!r}")
-        exponent = self.k if self.kind is CodeKind.SELF_RANDOMIZED else self.k + 1
+        k, l, q = index(k), index(l), index(q)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if l != 2:
+            raise ValueError(f"only the binary alphabet l=2 is supported, got l={l}")
+        if q < 2:
+            raise ValueError(f"q must be >= 2, got {q}")
+        if not isinstance(kind, CodeKind):
+            raise TypeError(f"kind must be a CodeKind, got {kind!r}")
+        exponent = k if kind is CodeKind.SELF_RANDOMIZED else k + 1
         if exponent > MAX_LOG2_N:  # with l == 2 this is n > 2**MAX_LOG2_N, checked before l**exponent
             raise ValueError(
-                f"{self.kind.value} code with k={self.k} needs n=2^{exponent} cells, "
+                f"{kind.value} code with k={k} needs n=2^{exponent} cells, "
                 f"more than the limit 2^{MAX_LOG2_N}"
             )
-        object.__setattr__(self, "n", self.l**exponent)
+        self._set(k, l, q, kind, l**exponent)
 
     @property
     def value_count(self) -> int:
@@ -93,8 +90,7 @@ class WriteKind(Enum):
     ERASE_REQUIRED = "erase-required"
 
 
-@dataclass(frozen=True)
-class WriteOutcome:
+class WriteOutcome(Record):
     """Result of one encode attempt: one of NOOP, WRITTEN, ERASE_REQUIRED.
 
     NOOP means the state already decoded to the requested value.
@@ -104,7 +100,10 @@ class WriteOutcome:
     was left untouched.
     """
 
-    kind: WriteKind
+    __slots__ = _fields = ("kind",)
+
+    def __init__(self, kind: WriteKind):
+        self._set(kind)
 
 
 NOOP = WriteOutcome(WriteKind.NOOP)

@@ -9,8 +9,9 @@ degree, and products and inverses are lookups in log/antilog tables
 built lazily per FieldSpec.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
+
+from ._record import Record
 
 __all__ = ["FieldSpec", "DEFAULT_POLYS", "gf_mul", "gf_inv"]
 
@@ -43,8 +44,7 @@ DEFAULT_POLYS = {
 }
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """GF(2**m), reduced modulo the primitive polynomial DEFAULT_POLYS[m].
 
     Because the polynomial is primitive, x generates the multiplicative
@@ -55,13 +55,14 @@ class FieldSpec:
     across threads with all operations on it pure.
     """
 
-    m: int
+    _fields = ("m",)  # no __slots__: the cached tables live in __dict__
 
-    def __post_init__(self):
-        if self.m not in DEFAULT_POLYS:
+    def __init__(self, m: int):
+        if m not in DEFAULT_POLYS:
             raise ValueError(
-                f"extension degree m must be in [{min(DEFAULT_POLYS)}, {max(DEFAULT_POLYS)}], got {self.m}"
+                f"extension degree m must be in [{min(DEFAULT_POLYS)}, {max(DEFAULT_POLYS)}], got {m}"
             )
+        object.__setattr__(self, "m", m)
 
     @property
     def poly(self) -> int:

@@ -14,7 +14,6 @@ independent.
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -192,8 +191,7 @@ class CycleStats(NamedTuple):
     r_total: int  # incrementing writes plus same-value no-ops
 
 
-@dataclass(frozen=True)
-class ExperimentStats:
+class ExperimentStats(NamedTuple):
     """Aggregates over the independent cycles of one experiment."""
 
     params: CodeParams
@@ -302,6 +300,7 @@ def min_of_n_expectation(samples, n: int) -> float:
     values = np.asarray(samples, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("samples must be a non-empty 1-d sequence")
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     values = np.sort(values)

@@ -48,6 +48,14 @@ def test_throw_balls_validates_args():
         throw_balls(2**24 + 1, 1, 1, rng)
     with pytest.raises(ValueError, match="2\\^24"):
         balls_until_overflow(2**24 + 1, 2, 2, rng)
+    # a float count is refused, not used as given or sent on to NumPy
+    for n, m_or_q, d in ((16, 20, 2.0), (16.0, 20, 2), (16, 20.0, 1), (16, 4.5, 2)):
+        with pytest.raises(TypeError):
+            throw_balls(n, m_or_q, d, rng)
+        with pytest.raises(TypeError):
+            balls_until_overflow(n, m_or_q, d, rng)
+    assert throw_balls(np.int64(4), np.int32(3), np.uint8(2), rng).sum() == 3
+    assert 2 <= balls_until_overflow(np.int64(4), np.int32(3), np.uint8(2), rng) <= 8
 
 
 def test_all_bins_as_candidates_round_robins():
@@ -228,6 +236,9 @@ def test_max_load_prediction_formulas():
     for n, m in bad:
         with pytest.raises(ValueError):
             max_load_prediction(n, m, 1)
+    with pytest.raises(TypeError):  # not the d=1 prediction
+        max_load_prediction(100, 100, 1.5)
+    assert max_load_prediction(100, 100, np.int64(2)) == max_load_prediction(100, 100, 2)
     # an integer m a few units below n*ln(n) rounds onto it: no division by a zero log
     n = 10**17
     p = max_load_prediction(n, int(n * math.log(n)) - 1, 1)

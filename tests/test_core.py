@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from flashmod.core import (
     CodeKind,
     CodeParams,
     WriteKind,
+    WriteOutcome,
     cell_increment,
 )
 
@@ -134,6 +137,15 @@ def test_params_derive_and_validate_n(monkeypatch):
     assert lb.n == 16
     with pytest.raises(TypeError):  # n is derived, not a constructor argument
         CodeParams(k=2, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED, n=4)
+    with pytest.raises(TypeError):
+        CodeParams(2, 2, 4, CodeKind.SELF_RANDOMIZED, 4)
+    # a frozen value, equal, hashed and shown by its fields, n included
+    same = CodeParams(3, 2, 8, CodeKind.LOAD_BALANCING)
+    assert lb == same and hash(lb) == hash(same) and len({sr, lb, same}) == 2
+    assert lb != CodeParams(k=3, l=2, q=4, kind=CodeKind.LOAD_BALANCING)
+    assert lb != (3, 2, 8, CodeKind.LOAD_BALANCING, 16)
+    assert repr(lb) == "CodeParams(k=3, l=2, q=8, kind=<CodeKind.LOAD_BALANCING: 'load-balancing'>, n=16)"
+    assert_frozen(lb, "k", "n", "other")
     with pytest.raises(ValueError):
         CodeParams(k=0, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED)
     with pytest.raises(ValueError):
@@ -166,10 +178,30 @@ def test_non_integral_parameters_are_refused_at_construction():
     assert CellState.zeros(2, np.int64(4)).q == 4 == CellState([0, 3], np.int64(4)).q
 
 
+def assert_frozen(record, *names):
+    "Assigning or deleting any attribute raises AttributeError; copies and pickles are equal."
+    for name in names:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 4)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+
+
 def test_outcome_shapes():
     assert NOOP.kind is WriteKind.NOOP
     assert WRITTEN.kind is WriteKind.WRITTEN
     assert ERASE_REQUIRED.kind is WriteKind.ERASE_REQUIRED
+    outcomes = (NOOP, WRITTEN, ERASE_REQUIRED)
+    for outcome in outcomes:
+        again = WriteOutcome(outcome.kind)
+        assert again == outcome and hash(again) == hash(outcome) and again is not outcome
+        assert WriteOutcome(kind=outcome.kind) == outcome
+        assert_frozen(outcome, "kind")
+    assert len(set(outcomes)) == 3 and NOOP != WriteKind.NOOP
+    assert repr(NOOP) == "WriteOutcome(kind=<WriteKind.NOOP: 'noop'>)"
+    with pytest.raises(TypeError):
+        WriteOutcome()
 
 
 def test_writes_keep_no_per_cell_objects():

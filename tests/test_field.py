@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_core import assert_frozen
 
 from flashmod.field import DEFAULT_POLYS, FieldSpec, gf_inv, gf_mul
 
@@ -60,6 +61,10 @@ def test_default_polys_all_valid():
     spec = FieldSpec(4)
     gf_mul(spec, 3, 5)
     assert len(spec.exp) == 2 * 15 and len(spec.log) == 16
+    # a frozen value, equal, hashed and shown by m alone: built tables do not count
+    assert spec == FieldSpec(m=4) and hash(spec) == hash(FieldSpec(4)) and spec != FieldSpec(5)
+    assert repr(spec) == "FieldSpec(m=4)"
+    assert_frozen(spec, "m", "exp")
 
 
 def x_power(e, poly):

@@ -253,3 +253,5 @@ class TestMinOfN:
             min_of_n_expectation([], 1)
         with pytest.raises(ValueError):
             min_of_n_expectation([1.0], 0)
+        with pytest.raises(TypeError):
+            min_of_n_expectation([1, 2, 3], 2.5)
