@@ -10,6 +10,7 @@ built lazily per FieldSpec.
 """
 
 from functools import cached_property
+from operator import index
 
 from ._record import Record
 
@@ -58,6 +59,7 @@ class FieldSpec(Record):
     _fields = ("m",)  # no __slots__: the cached tables live in __dict__
 
     def __init__(self, m: int):
+        m = index(m)
         if m not in DEFAULT_POLYS:
             raise ValueError(
                 f"extension degree m must be in [{min(DEFAULT_POLYS)}, {max(DEFAULT_POLYS)}], got {m}"

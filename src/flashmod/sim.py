@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _SAMPLE_BLOCK = 512
+# DistributionSpec's guide-table buckets per law value, and their cap
+_GUIDE_PER_VALUE, _GUIDE_MAX = 16, 1 << 20
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), with its pool
 # of four 32-bit words, and PCG64's 128-bit LCG multiplier (pcg64.h)
@@ -53,9 +55,19 @@ class DistributionSpec:
     entropy_bits, the Shannon entropy of the law, is the information
     credited per accepted write; for the uniform law over 2**k values it
     equals k.  probs is a read-only copy of the caller's sequence.
+
+    Draws are inverse-CDF lookups through an exact guide table (Chen &
+    Asau, 1974), not a binary search per draw.  [0, 1) is cut into B
+    equal buckets, B the power of two at or above 16 per law value and at
+    most 2**20 (8 MB).  A draw u falls in bucket j = floor(u*B), so
+    j/B <= u < (j+1)/B, and its value, the count of CDF steps at or below
+    u, lies between the counts at or below j/B and below (j+1)/B.  The
+    table holds that value where the two are equal; only draws in the
+    other buckets, which a CDF step crosses, are searched.  B is a power
+    of two, so u*B and j/B are exact and every draw equals the search's.
     """
 
-    __slots__ = ("probs", "entropy_bits", "_cum")
+    __slots__ = ("probs", "entropy_bits", "_cum", "_buckets", "_guide", "_split")
 
     TOLERANCE = 1e-9
 
@@ -81,6 +93,12 @@ class DistributionSpec:
         # and a draw above it would land on a value the law never draws
         cum[np.flatnonzero(p)[-1] :] = 1.0
         self._cum = cum
+        buckets = min(_GUIDE_MAX, 1 << (_GUIDE_PER_VALUE * p.size - 1).bit_length())
+        edges = np.arange(buckets + 1) / buckets
+        guide = cum.searchsorted(edges[:-1], side="right")
+        split = guide != cum.searchsorted(edges[1:], side="left")
+        guide[split] = -1  # a CDF step falls inside the bucket: search its draws
+        self._buckets, self._guide, self._split = buckets, guide, bool(split.any())
 
     @classmethod
     def uniform(cls, size: int) -> "DistributionSpec":
@@ -89,8 +107,14 @@ class DistributionSpec:
         return cls(np.full(size, 1.0 / size))
 
     def sample_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """count i.i.d. draws as an int array (inverse-CDF sampling)."""
-        return self._cum.searchsorted(rng.random(count), side="right")
+        """count i.i.d. draws as an intp array, one rng.random(count) call."""
+        u = rng.random(count)
+        out = self._guide.take((u * self._buckets).astype(np.intp))
+        # a law with no crossed bucket (a uniform one over 2**k values) never searches
+        if self._split:
+            split = np.flatnonzero(out < 0)
+            out[split] = self._cum.searchsorted(u[split], side="right")
+        return out
 
 
 def cycle_rng(master_seed: int, index: int) -> np.random.Generator:

@@ -64,6 +64,8 @@ def test_default_polys_all_valid():
     # a frozen value, equal, hashed and shown by m alone: built tables do not count
     assert spec == FieldSpec(m=4) and hash(spec) == hash(FieldSpec(4)) and spec != FieldSpec(5)
     assert repr(spec) == "FieldSpec(m=4)"
+    # a NumPy integer is read as the int it holds
+    assert FieldSpec(np.int64(4)) == spec and repr(FieldSpec(np.int64(4))) == "FieldSpec(m=4)"
     assert_frozen(spec, "m", "exp")
 
 
@@ -110,6 +112,9 @@ def test_rejects_wrong_degree_and_reducible():
         FieldSpec(1)
     with pytest.raises(ValueError):
         FieldSpec(25)
+    # accepted as equal to 4, a float m would fail only at the first product
+    with pytest.raises(TypeError):
+        FieldSpec(4.0)
 
 
 def test_mul_examples():

@@ -75,6 +75,47 @@ class TestDistributionSpec:
         DistributionSpec([1.0 - 2 * tol, 2 * tol])  # just above the tolerance: drawn, if rarely
 
 
+class KeyRng:
+    """A stand-in Generator whose random(count) returns fixed keys."""
+
+    def __init__(self, keys):
+        self.keys = np.asarray(keys, dtype=float)
+
+    def random(self, count):
+        assert count == self.keys.size
+        return self.keys.copy()
+
+
+def assert_draws_are_searched(dist, rng, keys):
+    "sample_block's draws from rng equal the search of its keys, element for element."
+    draws = dist.sample_block(rng, len(keys))
+    assert draws.dtype == np.intp
+    assert draws.tolist() == dist._cum.searchsorted(keys, side="right").tolist()
+
+
+@st.composite
+def laws(draw):
+    """Laws of 2-64 values: uniform, dyadic or weighted, with zeros and tiny masses."""
+    size = draw(st.integers(2, 60))
+    family = draw(st.sampled_from(["uniform", "dyadic", "weights"]))
+    if family == "uniform":
+        probs = [1.0 / size] * size
+    elif family == "dyadic":
+        # halve a mass size-1 times: every mass is 2**-e and the sum is exactly 1
+        probs = [1.0]
+        for _ in range(size - 1):
+            i = draw(st.integers(0, len(probs) - 1))
+            probs[i : i + 1] = [probs[i] / 2, probs[i] / 2]
+    else:
+        mass = st.one_of(st.just(0.0), st.floats(1e-11, 1e-9), st.floats(1e-3, 1.0))
+        weights = np.array([1.0, 1.0] + draw(st.lists(mass, min_size=size - 2, max_size=size - 2)))
+        probs = draw(st.permutations((weights / weights.sum()).tolist()))
+    # zero masses inside the law and at its end
+    for at in draw(st.lists(st.integers(0, len(probs)), max_size=4)):
+        probs.insert(at, 0.0)
+    return probs
+
+
 class TestSampling:
     def test_zero_probability_values_never_drawn(self):
         dist = DistributionSpec([0.5, 0.5, 0, 0])
@@ -90,6 +131,33 @@ class TestSampling:
 
         dist = DistributionSpec([0.5, 0.4999999995, 0.0])
         assert dist.sample_block(StubRng(), 6).tolist() == [0, 0, 1, 1, 1, 1]
+
+    @given(law=laws(), seed=st.integers(0, 2**32 - 1))
+    @example(law=[0.5, 0.4999999995, 0.0], seed=0)
+    @example(law=[0.25, 0.0, 0.25, 0.0, 0.5, 0.0, 0.0], seed=1)
+    @example(law=[1e-11] * 8 + [0.5 - 4e-11, 0.5 - 4e-11], seed=2)
+    @example(law=[0.125] * 8, seed=3)
+    def test_guide_table_equals_the_search(self, law, seed):
+        "Every draw equals the inverse-CDF binary search, at each CDF step and just below it."
+        dist = DistributionSpec(law)
+        below_one = dist._cum[dist._cum < 1.0]
+        # only a bucket with a CDF step strictly inside it is searched; a step on
+        # a bucket edge (every step of a uniform law over 2**k values) crosses none
+        scaled = below_one * dist._buckets
+        crossed = set(scaled[scaled % 1 != 0].astype(int).tolist())
+        assert set(np.flatnonzero(dist._guide < 0).tolist()) == crossed
+        assert dist._split == bool(crossed)
+        keys = np.concatenate(([0.0], below_one, np.nextafter(below_one, 0.0), [np.nextafter(1.0, 0.0)]))
+        assert_draws_are_searched(dist, KeyRng(keys), keys)
+        assert_draws_are_searched(dist, cycle_rng(seed, 0), cycle_rng(seed, 0).random(2000))
+
+    def test_guide_table_is_capped(self):
+        "A law of more than 2**16 values fills the capped table and still draws as the search does."
+        weights = cycle_rng(12, 0).random(70_000)
+        weights[::7] = 0.0
+        dist = DistributionSpec(weights / weights.sum())
+        assert dist._guide.size == 1 << 20
+        assert_draws_are_searched(dist, cycle_rng(12, 1), cycle_rng(12, 1).random(50_000))
 
     def test_uniform_frequencies_within_3_sigma(self):
         dist = uniform(2)
