@@ -3,12 +3,23 @@
 Both codes share one contract: decode reads nothing but the current
 state; encode either does nothing (the state already holds the value),
 raises exactly one cell level by one, or reports that the block must be
-erased first (erasing is the simulator's job).  Each code remembers what
-its last write stored, so a cycle works out its stored value once, on
-its first write, and a same-value write costs one comparison.
+erased first (erasing is the simulator's job).
+
+They also share one memo path.  encode remembers (state, level sum,
+value) of its last write, so a cycle works out its stored value once, on
+its first write, and a same-value write costs one comparison.  That is
+sound because cell_increment, the only way a CellState's sums change,
+adds exactly one to the level sum.  An erase forgets the state (no
+finished cycle is kept alive); threads sharing a code only miss.  A miss
+checks the state's q and cell count and computes the value with the
+private _stored that decode wraps, never through decode itself: a decode
+replaced from outside (a tracer, a deliberately broken decoder) leaves
+what encode writes unchanged, so a round trip still tests it.  A hit is
+the same object, already checked.  The value's range is checked on
+every write.
 """
 
-from .core import ERASE_REQUIRED, NOOP, CellState, CodeKind, CodeParams, WriteOutcome, cell_increment
+from .core import ERASE_REQUIRED, NOOP, CellState, CodeKind, CodeParams, WriteKind, cell_increment
 from .field import FieldSpec, gf_inv, gf_mul
 
 __all__ = ["SelfRandomizedCode", "LoadBalancingCode", "make_code"]
@@ -31,17 +42,6 @@ class SelfRandomizedCode:
     whose increment moves the decoder onto the new value; because that
     pick is offset by the running count r, repeated writes sweep the
     cells evenly for i.i.d. inputs instead of hammering a few indices.
-
-    encode memoizes (state, level sum, value) of its last write, as the
-    load-balancing code does, and for the same reason it is sound:
-    cell_increment, the only way a CellState's sums change, adds exactly
-    one to the level sum.  An erase forgets the state.  A miss checks the
-    state's q and cell count and computes the value with _stored, the
-    formula decode wraps, not through decode itself: a decode replaced
-    from outside (a tracer, a deliberately broken decoder) leaves what
-    encode writes unchanged, so a round trip still tests it.  A hit is
-    the same object, already checked.  The value's range is checked on
-    every write.
     """
 
     def __init__(self, params: CodeParams):
@@ -63,7 +63,7 @@ class SelfRandomizedCode:
             raise _mismatch(state, self.params)
         return self._stored(state)
 
-    def encode(self, state: CellState, value: int) -> WriteOutcome:
+    def encode(self, state: CellState, value: int) -> WriteKind:
         """Store value, incrementing at most one cell."""
         mod = self._mod
         if not 0 <= value < mod:
@@ -98,14 +98,6 @@ class LoadBalancingCode:
     index-weighted sum w (mod n) stores a_r^-1 * (w + b_r) mod 2**k; the
     candidates of write r for value x are a_r*x + b_r - w and
     a_r*(x + 2**k) + b_r - w (mod n).
-
-    encode memoizes (state, level sum, value) of its last write or decode.
-    That is sound because cell_increment, the only way a CellState's sums
-    change, adds exactly one to the level sum.  An erase forgets the state
-    (no finished cycle is kept alive); threads sharing a code only miss.
-    A state's cell count and q are checked when it enters the memo, on a
-    miss; a hit is the same object, already checked.  The value's range is
-    checked on every write.
     """
 
     def __init__(self, params: CodeParams):
@@ -117,14 +109,16 @@ class LoadBalancingCode:
         self._values = params.value_count
         self._last = _FORGOTTEN
 
-    def decode(self, state: CellState) -> int:
-        """Value currently stored; a function of the state alone."""
-        n = self._n
-        if len(state.levels) != n:
-            raise _mismatch(state, self.params)
+    def _stored(self, state: CellState) -> int:
         r, values = state.level_sum, self._values
         a, b = r % (values - 1) + 1, r % values
-        return gf_mul(self.field, gf_inv(self.field, a), (state.weighted_level_sum % n) ^ b) & (values - 1)
+        return gf_mul(self.field, gf_inv(self.field, a), (state.weighted_level_sum % self._n) ^ b) & (values - 1)
+
+    def decode(self, state: CellState) -> int:
+        """Value currently stored; a function of the state alone."""
+        if len(state.levels) != self._n:
+            raise _mismatch(state, self.params)
+        return self._stored(state)
 
     def candidate_cells(self, state: CellState, value: int) -> list[int]:
         """Cells a write of value would choose among, in choice order."""
@@ -138,10 +132,10 @@ class LoadBalancingCode:
         raw = state.weighted_level_sum % n
         return [((gf_mul(self.field, a, v) ^ b) - raw) % n for v in (value, value | values)]
 
-    def encode(self, state: CellState, value: int) -> WriteOutcome:
+    def encode(self, state: CellState, value: int) -> WriteKind:
         """Store value on the less charged of its two candidate cells.
 
-        The stored value comes from the memo (decode on a miss) and the
+        The stored value comes from the memo (_stored on a miss) and the
         candidates from the field tables; test_codes checks all three
         methods against one reference.
         """
@@ -153,8 +147,8 @@ class LoadBalancingCode:
         if last[0] is not state or last[1] != r:
             if state.q != self.params.q or len(state.levels) != self._n:
                 raise _mismatch(state, self.params)
-            last = self._last = (state, r, self.decode(state))
-            # read with the field decode just used, so a cycle sees one field
+            last = self._last = (state, r, self._stored(state))
+            # read with the field _stored just used, so a cycle sees one field
             self._tables = self.field.exp, self.field.log
         if last[2] == value:
             return NOOP

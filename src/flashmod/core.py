@@ -6,8 +6,10 @@ erase that resets them belongs to the simulation layer, so the state
 itself only ever increments.  Decoders read two aggregates of the state,
 the plain level sum and the index-weighted level sum, and both are
 maintained incrementally so a read costs O(1) instead of O(n).
-CodeParams and WriteOutcome are plain slotted Records rather than
-decorated ones: the standard library's record decorator imports inspect,
+cell_increment is the one way they change, by exactly one on the level
+sum, which is what lets each code's encode memo key its stored value on
+(state, level sum).  CodeParams is a plain slotted Record rather than a
+decorated one: the standard library's record decorator imports inspect,
 ast and dis, which cost more to load than the whole package.
 """
 
@@ -22,7 +24,6 @@ __all__ = [
     "CodeParams",
     "CellState",
     "WriteKind",
-    "WriteOutcome",
     "NOOP",
     "WRITTEN",
     "ERASE_REQUIRED",
@@ -85,30 +86,29 @@ class CodeParams(Record):
 
 
 class WriteKind(Enum):
-    WRITTEN = "written"
-    NOOP = "noop"
-    ERASE_REQUIRED = "erase-required"
-
-
-class WriteOutcome(Record):
     """Result of one encode attempt: one of NOOP, WRITTEN, ERASE_REQUIRED.
 
     NOOP means the state already decoded to the requested value.
     WRITTEN means exactly one cell rose by one level; the state's sums
     tell which.  ERASE_REQUIRED means the selected cell sits at q-1, so
     the block must be erased before this value can be stored; the state
-    was left untouched.
+    was left untouched.  Members are singletons, copies and pickles
+    included, so outcomes compare with ``is``.
     """
 
-    __slots__ = _fields = ("kind",)
+    WRITTEN = "written"
+    NOOP = "noop"
+    ERASE_REQUIRED = "erase-required"
 
-    def __init__(self, kind: WriteKind):
-        self._set(kind)
+    @property
+    def kind(self) -> "WriteKind":
+        """The member itself: the benchmark tracer reads out.kind until it compares out is WRITTEN."""
+        return self
 
 
-NOOP = WriteOutcome(WriteKind.NOOP)
-WRITTEN = WriteOutcome(WriteKind.WRITTEN)
-ERASE_REQUIRED = WriteOutcome(WriteKind.ERASE_REQUIRED)
+NOOP = WriteKind.NOOP
+WRITTEN = WriteKind.WRITTEN
+ERASE_REQUIRED = WriteKind.ERASE_REQUIRED
 
 
 class CellState:
@@ -156,7 +156,7 @@ class CellState:
         return f"CellState(levels={self.levels!r}, q={self.q})"
 
 
-def cell_increment(state: CellState, idx: int) -> WriteOutcome:
+def cell_increment(state: CellState, idx: int) -> WriteKind:
     """Raise cell idx by one level (WRITTEN), or signal that an erase is due.
 
     The state is untouched when ERASE_REQUIRED is returned.  An

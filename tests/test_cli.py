@@ -419,7 +419,8 @@ def test_roundtrip_command(capsys, monkeypatch):
     assert "failures=0" in out
     assert "[PASS]" in out
 
-    # a decoder that is off by one fails every check, and the command says so
+    # a decoder that is off by one fails every check, and the command says so;
+    # encode never calls decode, so what it writes is still right
     for cls, name in ((SelfRandomizedCode, "self-randomized"), (LoadBalancingCode, "load-balancing")):
         true_decode = cls.decode
 

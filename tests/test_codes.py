@@ -189,14 +189,16 @@ def test_encode_memo_tracks_state_identity(q):
     Each code writes into two states in random order; now and then a cell
     of a state and of its mirror is raised directly, and writing goes on
     after an erase.  Every outcome must equal the reference's on the
-    mirror, the stored value must be worked out (decode for the
-    load-balancing code, _stored for the self-randomized one) exactly
-    when the memo cannot answer for the state at its level sum, and after
-    an erase the code must hold no reference to the state: its count is
-    back to the mirror's, which the code never sees.
+    mirror, the stored value must be worked out (by _stored, never by
+    decode) exactly when the memo cannot answer for the state at its level
+    sum, and after an erase the code must hold no reference to the state:
+    its count is back to the mirror's, which the code never sees.
     """
+
+    def no_decode(state):
+        raise AssertionError("encode called decode")
+
     for kind in CodeKind:
-        miss_path = "decode" if kind is CodeKind.LOAD_BALANCING else "_stored"
         for k in range(1, 7):
             params = CodeParams(k=k, l=2, q=q, kind=kind)
             code = make_code(params)
@@ -206,13 +208,13 @@ def test_encode_memo_tracks_state_identity(q):
             else:
                 ref_encode = lambda st, x: reference_sr_encode(params, st, x)  # noqa: E731
             misses = [0]
-            true_miss = getattr(code, miss_path)
+            true_miss = code._stored
 
             def counted_miss(state):
                 misses[0] += 1
                 return true_miss(state)
 
-            setattr(code, miss_path, counted_miss)
+            code._stored, code.decode = counted_miss, no_decode
             rng = np.random.default_rng([k, q])
             states = [CellState.zeros(params.n, q) for _ in range(2)]
             mirrors = [CellState.zeros(params.n, q) for _ in range(2)]
@@ -296,11 +298,11 @@ def test_codes_reject_mismatched_state():
         lb.encode(CellState.zeros(16, 7), 1)
     # both codes check a state's shape when the state enters their memo,
     # so a mismatched state is refused while a good one is held
-    for code, miss_path in ((lb, "decode"), (make_code(sr_params(4, 4)), "_stored")):
+    for code in (lb, make_code(sr_params(4, 4))):
         n, values = code.params.n, code.params.value_count  # n = 16 for both
         misses = []
-        true_miss = getattr(code, miss_path)
-        setattr(code, miss_path, lambda state, true_miss=true_miss: misses.append(state) or true_miss(state))
+        true_miss = code._stored
+        code._stored = lambda state, true_miss=true_miss: misses.append(state) or true_miss(state)
         good = CellState.zeros(n, 4)
         assert code.encode(good, 1) is WRITTEN and misses == [good]
         for bad, match in ((CellState.zeros(8, 4), "cells"), (CellState.zeros(n, 7), "q=7")):

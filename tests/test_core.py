@@ -15,7 +15,6 @@ from flashmod.core import (
     CodeKind,
     CodeParams,
     WriteKind,
-    WriteOutcome,
     cell_increment,
 )
 
@@ -189,19 +188,13 @@ def assert_frozen(record, *names):
 
 
 def test_outcome_shapes():
-    assert NOOP.kind is WriteKind.NOOP
-    assert WRITTEN.kind is WriteKind.WRITTEN
-    assert ERASE_REQUIRED.kind is WriteKind.ERASE_REQUIRED
+    "Each outcome is its WriteKind member, and copies and pickles of it are that member."
     outcomes = (NOOP, WRITTEN, ERASE_REQUIRED)
-    for outcome in outcomes:
-        again = WriteOutcome(outcome.kind)
-        assert again == outcome and hash(again) == hash(outcome) and again is not outcome
-        assert WriteOutcome(kind=outcome.kind) == outcome
-        assert_frozen(outcome, "kind")
-    assert len(set(outcomes)) == 3 and NOOP != WriteKind.NOOP
-    assert repr(NOOP) == "WriteOutcome(kind=<WriteKind.NOOP: 'noop'>)"
-    with pytest.raises(TypeError):
-        WriteOutcome()
+    for outcome, member in zip(outcomes, (WriteKind.NOOP, WriteKind.WRITTEN, WriteKind.ERASE_REQUIRED)):
+        assert outcome is member and outcome.kind is outcome
+        for again in (copy.copy(outcome), copy.deepcopy(outcome), pickle.loads(pickle.dumps(outcome))):
+            assert again is outcome
+    assert len(set(outcomes)) == 3
 
 
 def test_writes_keep_no_per_cell_objects():
