@@ -16,12 +16,11 @@ parallelize with independently seeded streams.
 import math
 import sys
 from enum import Enum
-from operator import index
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import MAX_LOG2_N
+from .core import read_cells, read_count
 
 __all__ = [
     "LoadRegime",
@@ -48,16 +47,6 @@ class LoadRegime(Enum):
 class RegimePrediction(NamedTuple):
     regime: LoadRegime
     predicted_max_load: float
-
-
-def _check_bins(n: int, d: int) -> tuple[int, int]:
-    """n and d as ints, once each is in range; a float is refused, not truncated."""
-    n, d = index(n), index(d)
-    if not 1 <= n <= 1 << MAX_LOG2_N:
-        raise ValueError(f"n must be in [1, 2^{MAX_LOG2_N}], got {n}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return n, d
 
 
 def _place(n: int, d: int, rng: np.random.Generator, balls: int, cap: int) -> list[int]:
@@ -114,10 +103,7 @@ def throw_balls(n: int, m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     d values above 2 take a per-ball sampling path and are only meant
     for small experiments.
     """
-    n, d = _check_bins(n, d)
-    m = index(m)
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    n, d, m = read_cells(n), read_count(d, "d", 1), read_count(m, "m", 0)
     if d == 1:
         # uniform placement is exchangeable: loads are the draw histogram
         loads = np.zeros(n, dtype=np.int64)
@@ -138,10 +124,7 @@ def balls_until_overflow(n: int, q: int, d: int, rng: np.random.Generator) -> in
     ideal random loading.  Each trial runs the placement kernel on a
     budget of n*(q-1)+1 balls.
     """
-    n, d = _check_bins(n, d)
-    q = index(q)
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
+    n, d, q = read_cells(n), read_count(d, "d", 1), read_count(q, "q", 2)
     qm1 = q - 1
     # after n*(q-1)+1 balls some bin has been chosen q times, so that
     # budget always holds the stopping point
@@ -192,9 +175,7 @@ def max_load_prediction(n: int, m: float, d: int) -> RegimePrediction:
         raise ValueError(f"n must be >= 3 and within float range, got {n}")
     if not 1 <= m <= top:
         raise ValueError(f"m must be >= 1 and within float range, got {m}")
-    d = index(d)  # d=1.5 would fall into the d=1 branch
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = read_count(d, "d", 1)  # d=1.5 would fall into the d=1 branch
     ln_n = math.log(n)
     n_log_n = n * ln_n
     if d >= 2:

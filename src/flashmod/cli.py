@@ -7,9 +7,12 @@ checks, so always before any output; 1 for an error raised by the run
 and for failed ``roundtrip`` decodes; 0 otherwise.  An --out in a
 missing directory is an error while checking; an --out that cannot be
 opened for writing fails in the run.  A flag's syntax is its argparse
-type, and its domain is stated once: by that type, or by the function
-the handler passes its values to.  Every input comes from argv (and a
---dist file it names); no environment variable is read.
+type, and its domain is stated once, in the library: a count flag's type
+applies the reader the library checks that count with (core.read_count,
+or core.read_cells for --n), so it fails with the library's message
+while parsing, and any other flag is checked by the function the
+handler passes it to.  Every input comes from argv (and a --dist file
+it names); no environment variable is read.
 """
 
 import argparse
@@ -26,7 +29,7 @@ from .ballsbins import (
     throw_balls,
 )
 from .codes import make_code
-from .core import ERASE_REQUIRED, MAX_LOG2_N, CellState, CodeKind, CodeParams
+from .core import ERASE_REQUIRED, CellState, CodeKind, CodeParams, read_cells, read_count
 from .sim import DistributionSpec, cycle_rng, cycle_rngs, gamma_upper_bounds, run_experiment
 
 __all__ = ["run_cli", "main", "emit_records", "SIMULATE_COLUMNS"]
@@ -90,19 +93,18 @@ def emit_records(stats, fmt: str, path: str) -> None:
     _emit(rows, SIMULATE_COLUMNS, fmt, path)
 
 
-def _at_least(minimum: int, maximum: int | None = None):
-    """argparse type: one integer >= minimum (and <= maximum, if given)."""
+def _integer(read, *rule):
+    """argparse type: one integer, checked by the library's reader read(value, *rule)."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
-        return value
+        try:
+            return read(value, *rule)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -156,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument(
         "--seed",
-        type=_at_least(0),
+        type=_integer(read_count, "master_seed", 0),
         default=0,
         help="master seed (default: 0)",
     )
@@ -168,16 +170,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--code", choices=codes, default="self-randomized")
     sim.add_argument("--k", type=int, required=True, help="variables per group")
     sim.add_argument("--q", type=_commas(int), required=True, help="comma-separated q sweep, e.g. 2,4,8,16,32")
-    sim.add_argument("--cycles", type=_at_least(1), default=1000, help="erasure cycles per sweep point")
+    sim.add_argument("--cycles", type=_integer(read_count, "cycles", 1), default=1000, help="erasure cycles per sweep point")
     sim.add_argument("--dist", default=None, help="input law: file (one prob per line or comma) or inline p0,p1,...")
 
     balls = sub.add_parser("ballsbins", parents=[seeded, output], help="d-choice random loading sweeps")
     balls.add_argument("--mode", choices=("maxload", "overflow"), default="maxload")
-    balls.add_argument("--n", type=_at_least(1, 1 << MAX_LOG2_N), required=True, help="bins")
+    balls.add_argument("--n", type=_integer(read_cells), required=True, help="bins")
     balls.add_argument("--m", type=int, default=None, help="balls per trial (maxload mode)")
-    balls.add_argument("--q", type=_commas(_at_least(2)), default=None, help="comma-separated level counts (overflow mode)")
-    balls.add_argument("--d", type=_commas(_at_least(1)), default="1", help="comma-separated choice counts, e.g. 1,2")
-    balls.add_argument("--trials", type=_at_least(1), default=100)
+    balls.add_argument("--q", type=_commas(_integer(read_count, "q", 2)), default=None, help="comma-separated level counts (overflow mode)")
+    balls.add_argument("--d", type=_commas(_integer(read_count, "d", 1)), default="1", help="comma-separated choice counts, e.g. 1,2")
+    balls.add_argument("--trials", type=_integer(read_count, "trials", 1), default=100)
 
     bounds = sub.add_parser("bounds", help="evaluate the analytic formulas")
     # every bounds flag may repeat; flags print in this order, a flag's values in argv order
@@ -194,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     rt.add_argument("--code", choices=("both", *codes), default="both")
     rt.add_argument("--k", type=_commas(int), default="1,2,3", help="comma-separated k values")
     rt.add_argument("--q", type=_commas(int), default="4,8,16", help="comma-separated q values")
-    rt.add_argument("--writes", type=_at_least(1), default=10000, help="writes per (code, k, q) point")
+    rt.add_argument("--writes", type=_integer(read_count, "writes", 1), default=10000, help="writes per (code, k, q) point")
 
     return parser
 

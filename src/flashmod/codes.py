@@ -27,11 +27,12 @@ __all__ = ["SelfRandomizedCode", "LoadBalancingCode", "make_code"]
 _FORGOTTEN = (None, -1, -1)  # the memo of no state: no level sum is -1
 
 
-def _mismatch(state: CellState, params: CodeParams) -> ValueError:
-    """The error for a state whose cell count or level count is not the code's."""
-    if state.n != params.n:
-        return ValueError(f"state has {state.n} cells, code needs {params.n}")
-    return ValueError(f"state has q={state.q}, code needs q={params.q}")
+def _check_fit(state: CellState, params: CodeParams) -> None:
+    """Refuse a state whose cell count or level count is not the code's."""
+    if len(state.levels) != params.n:
+        raise ValueError(f"state has {state.n} cells, code needs {params.n}")
+    if state.q != params.q:
+        raise ValueError(f"state has q={state.q}, code needs q={params.q}")
 
 
 class SelfRandomizedCode:
@@ -49,7 +50,6 @@ class SelfRandomizedCode:
             raise ValueError(f"params describe a {params.kind.value} code")
         self.params = params
         self._mod = params.value_count
-        self._q = params.q
         self._last = _FORGOTTEN
 
     def _stored(self, state: CellState) -> int:
@@ -59,8 +59,7 @@ class SelfRandomizedCode:
 
     def decode(self, state: CellState) -> int:
         """Value currently stored; a function of the state alone."""
-        if len(state.levels) != self._mod:
-            raise _mismatch(state, self.params)
+        _check_fit(state, self.params)
         return self._stored(state)
 
     def encode(self, state: CellState, value: int) -> WriteKind:
@@ -71,8 +70,7 @@ class SelfRandomizedCode:
         r = state.level_sum
         last = self._last
         if last[0] is not state or last[1] != r:
-            if state.q != self._q or len(state.levels) != mod:
-                raise _mismatch(state, self.params)
+            _check_fit(state, self.params)
             last = self._last = (state, r, self._stored(state))
         current = last[2]
         if current == value:
@@ -116,16 +114,14 @@ class LoadBalancingCode:
 
     def decode(self, state: CellState) -> int:
         """Value currently stored; a function of the state alone."""
-        if len(state.levels) != self._n:
-            raise _mismatch(state, self.params)
+        _check_fit(state, self.params)
         return self._stored(state)
 
     def candidate_cells(self, state: CellState, value: int) -> list[int]:
         """Cells a write of value would choose among, in choice order."""
         if not 0 <= value < self._values:
             raise ValueError(f"value {value} outside [0, {self._values})")
-        if state.q != self.params.q or len(state.levels) != self._n:
-            raise _mismatch(state, self.params)
+        _check_fit(state, self.params)
         n, values = self._n, self._values
         r = state.level_sum + 1
         a, b = r % (values - 1) + 1, r % values
@@ -145,8 +141,7 @@ class LoadBalancingCode:
         r = state.level_sum
         last = self._last
         if last[0] is not state or last[1] != r:
-            if state.q != self.params.q or len(state.levels) != self._n:
-                raise _mismatch(state, self.params)
+            _check_fit(state, self.params)
             last = self._last = (state, r, self._stored(state))
             # read with the field _stored just used, so a cycle sees one field
             self._tables = self.field.exp, self.field.log

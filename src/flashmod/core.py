@@ -36,6 +36,22 @@ __all__ = [
 MAX_LOG2_N = max(DEFAULT_POLYS)
 
 
+def read_count(value, name: str, low: int) -> int:
+    """value as an int once it is >= low; a float is refused (TypeError), not truncated."""
+    value = index(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def read_cells(n) -> int:
+    """n as a cell (or bin) count in [1, 2^MAX_LOG2_N], read before anything is allocated."""
+    n = index(n)
+    if not 1 <= n <= 1 << MAX_LOG2_N:
+        raise ValueError(f"n must be in [1, 2^{MAX_LOG2_N}], got {n}")
+    return n
+
+
 class CodeKind(Enum):
     """Which modulation code an n-cell is configured for."""
 
@@ -56,14 +72,11 @@ class CodeParams(Record):
     __slots__ = _fields = ("k", "l", "q", "kind", "n")
 
     def __init__(self, k: int, l: int, q: int, kind: CodeKind):
-        # a float q would never equal the top level q - 1, so a cycle would never end
-        k, l, q = index(k), index(l), index(q)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k, l = read_count(k, "k", 1), index(l)
         if l != 2:
             raise ValueError(f"only the binary alphabet l=2 is supported, got l={l}")
-        if q < 2:
-            raise ValueError(f"q must be >= 2, got {q}")
+        # a float q would never equal the top level q - 1, so a cycle would never end
+        q = read_count(q, "q", 2)
         if not isinstance(kind, CodeKind):
             raise TypeError(f"kind must be a CodeKind, got {kind!r}")
         exponent = k if kind is CodeKind.SELF_RANDOMIZED else k + 1
@@ -122,9 +135,7 @@ class CellState:
     __slots__ = ("q", "levels", "level_sum", "weighted_level_sum")
 
     def __init__(self, levels, q: int):
-        q = index(q)
-        if q < 2:
-            raise ValueError(f"q must be >= 2, got {q}")
+        q = read_count(q, "q", 2)
         levels = [index(v) for v in levels]
         for i, v in enumerate(levels):
             if not 0 <= v <= q - 1:
@@ -137,11 +148,7 @@ class CellState:
     @classmethod
     def zeros(cls, n: int, q: int) -> "CellState":
         """Fresh erased n-cell: all levels zero, built without __init__'s O(n) checks."""
-        if not 1 <= n <= 1 << MAX_LOG2_N:
-            raise ValueError(f"n must be in [1, 2^{MAX_LOG2_N}], got {n}")
-        q = index(q)
-        if q < 2:
-            raise ValueError(f"q must be >= 2, got {q}")
+        n, q = read_cells(n), read_count(q, "q", 2)
         state = cls.__new__(cls)
         state.q = q
         state.levels = [0] * n

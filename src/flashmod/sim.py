@@ -12,14 +12,13 @@ independent.
 """
 
 import math
-import operator
 import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from .codes import make_code
-from .core import ERASE_REQUIRED, CellState, CodeParams
+from .core import ERASE_REQUIRED, CellState, CodeParams, read_count
 
 __all__ = [
     "DistributionSpec",
@@ -102,8 +101,7 @@ class DistributionSpec:
 
     @classmethod
     def uniform(cls, size: int) -> "DistributionSpec":
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
+        size = read_count(size, "size", 1)
         return cls(np.full(size, 1.0 / size))
 
     def sample_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -187,9 +185,8 @@ def cycle_rngs(master_seed: int, start: int, count: int):
     for the next.  Blocks are seeded lazily: any count takes bounded
     memory.  The arguments are checked at the call, not at the first draw.
     """
-    master_seed, start, count = map(operator.index, (master_seed, start, count))
-    if min(master_seed, start, count) < 0:
-        raise ValueError(f"expected non-negative integers, got {master_seed}, {start}, {count}")
+    master_seed = read_count(master_seed, "master_seed", 0)
+    start, count = read_count(start, "start", 0), read_count(count, "count", 0)
     return _seeded(_words(master_seed), start, start + count)
 
 
@@ -270,8 +267,7 @@ def run_experiment(
     cycle exactly.  eta and gamma are computed from incrementing writes
     only; same-value no-ops show up in mean_r_total.
     """
-    if cycles < 1:
-        raise ValueError(f"cycles must be >= 1, got {cycles}")
+    cycles = read_count(cycles, "cycles", 1)
     code = make_code(params)
     total_inc = 0
     total_all = 0
@@ -324,9 +320,7 @@ def min_of_n_expectation(samples, n: int) -> float:
     values = np.asarray(samples, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("samples must be a non-empty 1-d sequence")
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = read_count(n, "n", 1)
     values = np.sort(values)
     m = values.size
     survive = (np.arange(m - 1, 0, -1) / m) ** n

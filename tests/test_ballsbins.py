@@ -37,12 +37,12 @@ def test_throw_balls_conserves_balls_and_reproduces():
 
 def test_throw_balls_validates_args():
     rng = cycle_rng(0, 0)
-    with pytest.raises(ValueError):
-        throw_balls(0, 1, 1, rng)
-    with pytest.raises(ValueError):
-        throw_balls(4, -1, 1, rng)
-    with pytest.raises(ValueError):
-        throw_balls(4, 1, 0, rng)
+    for n, m, d, message in ((0, 1, 1, "n must be in"), (4, -1, 1, "m must be >= 0, got -1"), (4, 1, 0, "d must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            throw_balls(n, m, d, rng)
+    for n, q, d, message in ((0, 2, 1, "n must be in"), (4, 1, 1, "q must be >= 2, got 1"), (4, 2, 0, "d must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            balls_until_overflow(n, q, d, rng)
     # one bin past 2^MAX_LOG2_N is refused before the load vector is allocated
     with pytest.raises(ValueError, match="2\\^24"):
         throw_balls(2**24 + 1, 1, 1, rng)
@@ -238,6 +238,8 @@ def test_max_load_prediction_formulas():
             max_load_prediction(n, m, 1)
     with pytest.raises(TypeError):  # not the d=1 prediction
         max_load_prediction(100, 100, 1.5)
+    with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+        max_load_prediction(100, 100, 0)
     assert max_load_prediction(100, 100, np.int64(2)) == max_load_prediction(100, 100, 2)
     # an integer m a few units below n*ln(n) rounds onto it: no division by a zero log
     n = 10**17

@@ -32,11 +32,11 @@ def test_trace_mode_counts_every_patched_layer(tmp_path, monkeypatch):
 
 
 def test_traced_simulate_meets_the_trace_contract(tmp_path, monkeypatch):
-    "Traced counts equal the outputs' implied counts: encode per write, run_cycle per cycle."
+    "Traced counts equal the outputs' implied counts: encode per write, run_cycle per cycle, a span per trial."
     monkeypatch.syspath_prepend(str(BENCH))
     import run
     import tracing
-    from workloads import Simulate, Workload
+    from workloads import MaxLoad, Overflow, Simulate, Workload
 
     workload = Workload(
         "trace-contract",
@@ -46,6 +46,9 @@ def test_traced_simulate_meets_the_trace_contract(tmp_path, monkeypatch):
             Simulate("load-balancing", 3, (16,), 2, hot=True),
             Simulate("self-randomized", 4, (4,), 3),
             Simulate("self-randomized", 3, (2, 16), 2, hot=True),
+            # ballsbins trials cross cli.balls_until_overflow and cli.throw_balls
+            Overflow(8, (2, 4), 2, 3),
+            MaxLoad(64, 256, (1, 2), 4),
         ),
     )
     runner = run.Runner(workload, 5, tmp_path)
@@ -58,6 +61,7 @@ def test_traced_simulate_meets_the_trace_contract(tmp_path, monkeypatch):
     parsed = runner.check(outputs, "traced")
     expected = run.expected_counts(workload, parsed)
     assert expected["sim.run_cycle"] == 3 * 2 + 2 + 3 + 2 * 2
+    assert (expected["ballsbins.overflow.d2"], expected["ballsbins.throw.d1"], expected["ballsbins.throw.d2"]) == (6, 4, 4)
     run.reconcile(runner.checks, tracer, expected)
     assert runner.checks.failures == []
     assert runner.checks.attempted > len(expected)

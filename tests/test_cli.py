@@ -13,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flashmod.ballsbins import balls_until_overflow, throw_balls
 from flashmod.cli import SIMULATE_COLUMNS, emit_records, run_cli
 from flashmod.codes import LoadBalancingCode, SelfRandomizedCode
 from flashmod.core import CellState, CodeKind, CodeParams
-from flashmod.sim import DistributionSpec, run_experiment
+from flashmod.sim import DistributionSpec, cycle_rngs, run_experiment
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 HUGE = "1" + "0" * 400  # an integer literal beyond float range
@@ -499,6 +500,36 @@ def test_ballsbins_flag_validation(tmp_path, monkeypatch, capsys):
         assert run_cli(maxload + ["--n", str(n), "--m", "1"]) == 2, n
     # a ball count beyond float range exits 2, not with an OverflowError
     assert run_cli(maxload + ["--m", HUGE, "--d", "1", "--trials", "1"]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_count_flags_fail_with_the_library_message(tmp_path, monkeypatch, capsys):
+    "A count flag's type applies the library's reader, so it exits 2 with the library's message before any trial."
+    messages = []
+    for call in (
+        lambda: throw_balls(0, 1, 1, None),
+        lambda: balls_until_overflow(2**24 + 1, 2, 1, None),
+        lambda: run_experiment(CodeParams(k=2, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED), None, 0, 0),
+        lambda: cycle_rngs(-1, 0, 1),
+    ):
+        with pytest.raises(ValueError) as error:
+            call()
+        messages.append(str(error.value))
+    assert messages[0] == "n must be in [1, 2^24], got 0"
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a trial ran before the flags were checked")
+
+    for name in ("throw_balls", "balls_until_overflow", "run_experiment", "cycle_rngs"):
+        monkeypatch.setattr(f"flashmod.cli.{name}", no_work)
+    out = str(tmp_path / "x.csv")
+    ballsbins = ["ballsbins", "--mode", "overflow", "--q", "4", "--out", out]
+    simulate = ["simulate", "--k", "2", "--q", "4", "--out", out]
+    argvs = (ballsbins + ["--n", "0"], ballsbins + ["--n", "16777217"], simulate + ["--cycles", "0"], simulate + ["--seed", "-1"])
+    for argv, message in zip(argvs, messages):
+        assert run_cli(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f": {message}\n" in captured.err, (argv, captured.err)
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -296,6 +296,10 @@ def test_codes_reject_mismatched_state():
         lb.candidate_cells(CellState.zeros(16, 7), 1)
     with pytest.raises(ValueError, match="state has q=7, code needs q=4"):
         lb.encode(CellState.zeros(16, 7), 1)
+    # decode refuses a state of another q as encode does, for both codes
+    for other in (lb, make_code(sr_params(4, 4))):
+        with pytest.raises(ValueError, match="state has q=7, code needs q=4"):
+            other.decode(CellState.zeros(16, 7))
     # both codes check a state's shape when the state enters their memo,
     # so a mismatched state is refused while a good one is held
     for code in (lb, make_code(sr_params(4, 4))):

@@ -93,9 +93,9 @@ def test_state_validation():
         CellState([0, 4], 4)
     with pytest.raises(ValueError):
         CellState([-1], 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q must be >= 2, got 1"):
         CellState([0], 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be in"):
         CellState.zeros(0, 4)
     # levels are integers: no silent truncation of floats, no parsing of strings
     with pytest.raises(TypeError):
@@ -114,8 +114,11 @@ def test_zeros_equals_the_checked_constructor(n, q):
 
 
 def test_zeros_validates_n_and_q():
-    for n, q in ((0, 4), (-3, 4), (4, 1), (4, -2)):
-        with pytest.raises(ValueError):
+    for n, q, name in ((0, 4, "n"), (-3, 4, "n"), (4, 1, "q"), (4, -2, "q")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            CellState.zeros(n, q)
+    for n, q in ((4.0, 4), (4, 4.0)):  # a float count is refused, not truncated
+        with pytest.raises(TypeError):
             CellState.zeros(n, q)
 
 
@@ -145,11 +148,11 @@ def test_params_derive_and_validate_n(monkeypatch):
     assert lb != (3, 2, 8, CodeKind.LOAD_BALANCING, 16)
     assert repr(lb) == "CodeParams(k=3, l=2, q=8, kind=<CodeKind.LOAD_BALANCING: 'load-balancing'>, n=16)"
     assert_frozen(lb, "k", "n", "other")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
         CodeParams(k=0, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED)
     with pytest.raises(ValueError):
         CodeParams(k=2, l=3, q=4, kind=CodeKind.SELF_RANDOMIZED)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q must be >= 2, got 1"):
         CodeParams(k=2, l=2, q=1, kind=CodeKind.SELF_RANDOMIZED)
     # n is capped at 2^24, the largest field the load-balancing code can use
     assert CodeParams(k=24, l=2, q=2, kind=CodeKind.SELF_RANDOMIZED).n == 1 << 24

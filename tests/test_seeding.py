@@ -43,11 +43,12 @@ def test_cycle_rngs_matches_cycle_rng(seed, start, count):
 def test_cycle_rngs_rejects_what_seed_sequence_rejects():
     with pytest.raises(ValueError):
         cycle_rng(-1, 0)
-    for args in ((-1, 0, 1), (0, -1, 1), (0, 0, -1)):
-        with pytest.raises(ValueError):
+    for args, name in (((-1, 0, 1), "master_seed"), ((0, -1, 1), "start"), ((0, 0, -1), "count")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1"):
             cycle_rngs(*args)  # at the call, before any stream is drawn
-    with pytest.raises(TypeError):
-        cycle_rngs(1.5, 0, 1)
+    for args in ((1.5, 0, 1), (0, 1.0, 1), (0, 0, 2.0)):
+        with pytest.raises(TypeError):
+            cycle_rngs(*args)
 
 
 def test_cycle_rngs_memory_is_bounded_by_the_block():

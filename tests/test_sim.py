@@ -32,6 +32,10 @@ class TestDistributionSpec:
             DistributionSpec([1.5, -0.5])
         with pytest.raises(ValueError):
             DistributionSpec([])
+        with pytest.raises(ValueError, match="size must be >= 1, got 0"):
+            DistributionSpec.uniform(0)
+        with pytest.raises(TypeError):
+            DistributionSpec.uniform(4.0)
         DistributionSpec([0.25, 0.25, 0.25, 0.25 + 5e-10])  # inside tolerance
         # a NaN entry makes the sum NaN, which slips past the tolerance test
         for bad in (math.nan, math.inf, -math.inf):
@@ -252,6 +256,15 @@ class TestRunExperiment:
         assert stats.mean_r_inc == single.r_inc
         assert stats.mean_r_total == single.r_total
 
+    def test_validation(self):
+        params = CodeParams(k=2, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED)
+        with pytest.raises(ValueError, match="cycles must be >= 1, got 0"):
+            run_experiment(params, uniform(2), 0, 1)
+        with pytest.raises(TypeError):
+            run_experiment(params, uniform(2), 2.0, 1)
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            run_experiment(params, uniform(2), 2, -1)
+
     def test_repeatable_for_fixed_seed(self):
         params = CodeParams(k=2, l=2, q=8, kind=CodeKind.LOAD_BALANCING)
         a = run_experiment(params, uniform(2), 50, 21)
@@ -319,7 +332,7 @@ class TestMinOfN:
     def test_validation(self):
         with pytest.raises(ValueError):
             min_of_n_expectation([], 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             min_of_n_expectation([1.0], 0)
         with pytest.raises(TypeError):
             min_of_n_expectation([1, 2, 3], 2.5)
