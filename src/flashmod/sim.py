@@ -6,7 +6,7 @@ rewrites per cycle, the loss factor eta (fraction of the n*(q-1) level
 increments left unused when erasure is forced) and the storage
 efficiency gamma (bits stored per available level increment).
 
-Cycles are independent given their derived seeds, so they may run in any
+Cycles are independent given their streams, so they may run in any
 order or concurrently; aggregation is a plain mean, which is order
 independent.
 """
@@ -35,14 +35,6 @@ __all__ = [
 _SAMPLE_BLOCK = 512
 # DistributionSpec's guide-table buckets per law value, and their cap
 _GUIDE_PER_VALUE, _GUIDE_MAX = 16, 1 << 20
-
-# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), with its pool
-# of four 32-bit words, and PCG64's 128-bit LCG multiplier (pcg64.h)
-_POOL, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 4, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_SEED_BLOCK = 256  # streams seeded per vectorised pass; bounds the memory of any count
 
 
 class DistributionSpec:
@@ -116,93 +108,44 @@ class DistributionSpec:
 
 
 def cycle_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent, reproducible per-cycle stream.
+    """Independent, reproducible per-cycle stream: cycle_rngs' stream index.
 
-    The stream is default_rng(SeedSequence((master_seed, index))): the
-    pair (master seed, cycle index) fully determines a cycle's inputs, so
-    cycles can run in any order or in parallel and still agree.
+    The pair (master seed, cycle index) fully determines a cycle's
+    inputs, so cycles can run in any order or in parallel and still agree.
     """
-    return np.random.default_rng(np.random.SeedSequence((master_seed, index)))
-
-
-def _words(value: int) -> list[int]:
-    """value's little-endian 32-bit words, as SeedSequence splits an int."""
-    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
-def _hasher(multiplier: int, const: int):
-    """SeedSequence's word hash; each call steps the constant it shares."""
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * multiplier & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> _SHIFT
-
-    return hashmix
-
-
-def _mix(x, y):
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ r >> _SHIFT
-
-
-def _pcg64_states(entropy: list, size: int):
-    """(state, inc) of PCG64(SeedSequence(entropy)) for size streams at once.
-
-    entropy lists the 32-bit entropy words in order: an int is a word
-    every stream shares, a uint32 array holds one word per stream.
-    """
-    words = [np.full(size, w, np.uint32) if isinstance(w, int) else w for w in entropy]
-    words += [np.zeros(size, np.uint32)] * (_POOL - len(words))
-    hashmix = _hasher(_MULT_A, _INIT_A)
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): eight hashed pool words, paired little-endian
-    hashmix = _hasher(_MULT_B, _INIT_B)
-    out = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(2 * _POOL)]
-    halves = ((out[j] | out[j + 1] << np.uint64(32)).tolist() for j in range(0, 2 * _POOL, 2))
-    # pcg64_set_seed: inc = 2*seq + 1, then two LCG steps from state 0, the seed added between
-    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*halves):
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        yield ((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128, inc
+    return next(cycle_rngs(master_seed, index, 1))
 
 
 def cycle_rngs(master_seed: int, start: int, count: int):
-    """The streams cycle_rng(master_seed, i) for i in start .. start+count-1.
+    """The per-cycle streams i = start .. start+count-1 of master_seed.
 
-    Bit-identical to cycle_rng stream by stream, at a fraction of its
-    cost: SeedSequence's hash runs vectorised over blocks of indices,
-    and each stream's PCG64 state is set on one Generator, which is
-    yielded again for every index, so use each stream before asking
-    for the next.  Blocks are seeded lazily: any count takes bounded
-    memory.  The arguments are checked at the call, not at the first draw.
+    Counter-based streams (Salmon et al., SC 2011): stream i is Philox4x64
+    under Philox(master_seed)'s key, SeedSequence(master_seed)'s
+    generate_state(2, uint64), started at counter i * 2**128, the words
+    [0, 0, i mod 2**64, i >> 64]: disjoint runs of 2**128 blocks of one
+    keyed sequence, for i < 2**128.
+    One Generator is yielded again for every index, its counter set anew,
+    so use each stream before asking for the next.  Memory is constant in
+    count; the arguments are checked at the call, not at the first draw.
     """
     master_seed = read_count(master_seed, "master_seed", 0)
     start, count = read_count(start, "start", 0), read_count(count, "count", 0)
-    return _seeded(_words(master_seed), start, start + count)
+    if start + count > 1 << 128:  # Philox's 256-bit counter holds 2**128 streams
+        raise ValueError(f"stream indices must be below 2^128, got start={start}, count={count}")
+    return _streams(master_seed, start, start + count)
 
 
-def _seeded(seed_words: list[int], start: int, stop: int):
-    rng = np.random.default_rng(0)
-    words = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
-    while start < stop:
-        # a block never crosses a multiple of 2**32, so it shares every index word but the lowest
-        end = min(stop, start + _SEED_BLOCK, (start | _MASK32) + 1)
-        low = np.arange(end - start, dtype=np.uint32) + np.uint32(start & _MASK32)
-        entropy = seed_words + [low] + _words(start)[1:]  # start's high words are the block's
-        for words["state"], words["inc"] in _pcg64_states(entropy, end - start):
-            rng.bit_generator.state = state  # the setter copies the words out of the dict
-            yield rng
-        start = end
+def _streams(master_seed: int, start: int, stop: int):
+    bits = np.random.Philox(master_seed)
+    # a fresh state, which every set below restores: empty buffer, no half-used uint32
+    rng, state = np.random.Generator(bits), bits.state
+    counter = [0, 0, 0, 0]  # plain ints set faster than the state's arrays
+    state["state"] = {"counter": counter, "key": state["state"]["key"].tolist()}
+    state["buffer"] = [0] * 4
+    for i in range(start, stop):
+        counter[3], counter[2] = divmod(i, 1 << 64)
+        bits.state = state
+        yield rng
 
 
 class CycleStats(NamedTuple):
@@ -262,9 +205,9 @@ def run_experiment(
 ) -> ExperimentStats:
     """Run independent erasure cycles and aggregate the storage metrics.
 
-    Cycle i consumes the stream cycle_rng(master_seed, i), from
-    cycle_rngs, so a repeat with the same master seed reproduces every
-    cycle exactly.  eta and gamma are computed from incrementing writes
+    Cycle i consumes the Philox stream cycle_rng(master_seed, i), drawn
+    from cycle_rngs, so a repeat with the same master seed reproduces
+    every cycle exactly.  eta and gamma are computed from incrementing writes
     only; same-value no-ops show up in mean_r_total.
     """
     cycles = read_count(cycles, "cycles", 1)

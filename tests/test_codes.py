@@ -351,7 +351,7 @@ def reference_lb_encode(params, field, state, value):
     if reference_lb_decode(params, field, state) == value:
         return NOOP
     best, best_level = -1, None
-    for cell in reference_lb_candidates(params, field, state, value):  # ties to the lowest index
+    for cell in reference_lb_candidates(params, field, state, value):  # strict <: ties keep the first candidate
         if best_level is None or state.levels[cell] < best_level:
             best, best_level = cell, state.levels[cell]
     return cell_increment(state, best)
