@@ -16,6 +16,7 @@ it names); no environment variable is read.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -147,6 +148,7 @@ def _load_dist(spec: str | None, size: int) -> DistributionSpec:
     return DistributionSpec(probs)
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every run_cli call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flashmod",
@@ -214,9 +216,7 @@ def _cmd_simulate(args):
     _check_out_dir(args.out)
     params_list = [CodeParams(k=args.k, l=2, q=q, kind=CodeKind(args.code)) for q in args.q]
     dist = _load_dist(args.dist, params_list[0].value_count)
-    return lambda: emit_records(
-        [run_experiment(p, dist, args.cycles, args.seed) for p in params_list], args.format, args.out
-    )
+    return lambda: emit_records(run_experiment(params_list, dist, args.cycles, args.seed), args.format, args.out)
 
 
 def _cmd_ballsbins(args):

@@ -8,11 +8,14 @@ efficiency gamma (bits stored per available level increment).
 
 Cycles are independent given their streams, so they may run in any
 order or concurrently; aggregation is a plain mean, which is order
-independent.
+independent.  A q sweep reads one stream per cycle index: cycle i's
+inputs are drawn once, onto an input tape that keeps at most _KEEP of
+them, and replayed to every q point.
 """
 
 import math
 import sys
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +36,8 @@ __all__ = [
 ]
 
 _SAMPLE_BLOCK = 512
+# inputs an _InputTape keeps per cycle: 2**20 listed ints, at most ~36 MB
+_KEEP = 1 << 20
 # DistributionSpec's guide-table buckets per law value, and their cap
 _GUIDE_PER_VALUE, _GUIDE_MAX = 16, 1 << 20
 
@@ -167,7 +172,47 @@ class ExperimentStats(NamedTuple):
     seed: int
 
 
-def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator) -> CycleStats:
+def _draws(dist: DistributionSpec, rng: np.random.Generator, block: int):
+    """dist's draws from rng as lists, in blocks doubling from block up to _SAMPLE_BLOCK."""
+    while True:
+        yield dist.sample_block(rng, block).tolist()
+        block = min(2 * block, _SAMPLE_BLOCK)
+
+
+class _InputTape:
+    """One cycle's inputs for every point of a sweep: drawn once, replayed.
+
+    replay yields run_cycle's blocks from the start.  Blocks a point has
+    read are kept, while they total at most _KEEP inputs, so a later
+    point draws only past the longest prefix any earlier one read.  A
+    point that reads past the kept prefix once the cap is reached derives
+    the cycle's stream again and skips the prefix with one rng.random
+    call.  Split draws continue one stream, so every point reads the
+    inputs a lone run_cycle on the stream would.
+    """
+
+    __slots__ = ("_dist", "_rng", "_seed", "_index", "_kept", "_count", "_block")
+
+    def __init__(self, dist: DistributionSpec, rng: np.random.Generator, n: int, master_seed: int, index: int):
+        self._dist, self._rng, self._seed, self._index = dist, rng, master_seed, index
+        self._kept, self._count = [], 0  # the kept blocks and their total length
+        self._block = min(2 * n, _SAMPLE_BLOCK)  # the length of the next block
+
+    def replay(self):
+        yield from self._kept
+        block = self._block
+        while self._count + block <= _KEEP:
+            values = self._dist.sample_block(self._rng, block).tolist()
+            self._kept.append(values)
+            self._count += block
+            self._block = block = min(2 * block, _SAMPLE_BLOCK)
+            yield values
+        rng = cycle_rng(self._seed, self._index)
+        rng.random(self._count)
+        yield from _draws(self._dist, rng, block)
+
+
+def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator | _InputTape) -> CycleStats:
     """Write i.i.d. inputs onto a fresh n-cell until an erase is forced.
 
     Writes that increment a cell count toward r_inc, which is therefore
@@ -178,57 +223,79 @@ def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator) -> CycleSt
     Inputs are drawn in blocks that double from 2n up to _SAMPLE_BLOCK,
     so a short cycle does not sample hundreds of unused inputs; split
     draws continue one stream, so the block sizes never change an input.
-    The cycle ends because DistributionSpec admits only laws that draw
-    two or more values.
+    rng is the cycle's Generator, drawn as the cycle goes and dropped,
+    or an _InputTape of dist's blocks from it, as run_experiment's
+    sweeps pass.  The cycle ends because DistributionSpec admits only
+    laws that draw two or more values.
     """
     params = code.params
     if len(dist.probs) != params.value_count:
         raise ValueError(f"dist has {len(dist.probs)} entries, code stores {params.value_count} values")
+    if isinstance(rng, _InputTape):
+        inputs = rng.replay()
+    else:
+        inputs = _draws(dist, rng, min(2 * params.n, _SAMPLE_BLOCK))
     state = CellState.zeros(params.n, params.q)
     encode = code.encode
     erase = ERASE_REQUIRED  # a local read is cheaper than a global one
     r_total = 0
-    block = min(2 * params.n, _SAMPLE_BLOCK)
-    while True:
-        for x in dist.sample_block(rng, block).tolist():
+    for values in inputs:  # endless: only the erase ends the cycle
+        for x in values:
             if encode(state, x) is erase:
                 return CycleStats(state.level_sum, r_total)
             r_total += 1
-        block = min(2 * block, _SAMPLE_BLOCK)
 
 
 def run_experiment(
-    params: CodeParams,
+    params: CodeParams | Sequence[CodeParams],
     dist: DistributionSpec,
     cycles: int,
     master_seed: int,
-) -> ExperimentStats:
+) -> ExperimentStats | list[ExperimentStats]:
     """Run independent erasure cycles and aggregate the storage metrics.
 
-    Cycle i consumes the Philox stream cycle_rng(master_seed, i), drawn
-    from cycle_rngs, so a repeat with the same master seed reproduces
-    every cycle exactly.  eta and gamma are computed from incrementing writes
-    only; same-value no-ops show up in mean_r_total.
+    params is one CodeParams, which returns one ExperimentStats, or a
+    q sweep: a sequence of CodeParams of one code kind and k, which
+    returns a list of one ExperimentStats per point, in order.  Any other
+    difference raises ValueError.  Cycle i consumes the Philox stream
+    cycle_rng(master_seed, i), drawn from cycle_rngs, at every point.
+    A sweep draws it once per cycle, onto an input tape that keeps at
+    most _KEEP = 2**20 inputs, and replays it to each point; a point
+    that reads past a full tape draws the stream again past what it
+    keeps.  A single point keeps nothing.  Each point still runs its own
+    run_cycle per cycle, from a fresh CellState, so its stats equal a
+    lone run at its q, and a repeat with the same master seed reproduces
+    every cycle exactly.  eta and gamma are computed from incrementing
+    writes only; same-value no-ops show up in mean_r_total.
     """
     cycles = read_count(cycles, "cycles", 1)
-    code = make_code(params)
-    total_inc = 0
-    total_all = 0
-    for rng in cycle_rngs(master_seed, 0, cycles):
-        stats = run_cycle(code, dist, rng)
-        total_inc += stats.r_inc
-        total_all += stats.r_total
-    mean_inc = total_inc / cycles
-    budget = params.total_levels
-    return ExperimentStats(
-        params=params,
-        cycles=cycles,
-        mean_r_inc=mean_inc,
-        mean_r_total=total_all / cycles,
-        eta=1.0 - mean_inc / budget,
-        gamma=mean_inc * dist.entropy_bits / budget,
-        seed=master_seed,
-    )
+    points = [params] if isinstance(params, CodeParams) else list(params)
+    if not points or any((p.kind, p.k) != (points[0].kind, points[0].k) for p in points):
+        raise ValueError("a sweep needs one or more points of one code kind and k; only q may differ")
+    codes = [make_code(p) for p in points]
+    total_inc, total_all = [0] * len(points), [0] * len(points)
+    for i, rng in enumerate(cycle_rngs(master_seed, 0, cycles)):
+        inputs = rng if len(points) == 1 else _InputTape(dist, rng, points[0].n, master_seed, i)
+        for j, code in enumerate(codes):
+            stats = run_cycle(code, dist, inputs)
+            total_inc[j] += stats.r_inc
+            total_all[j] += stats.r_total
+    sweep = []
+    for p, inc, total in zip(points, total_inc, total_all):
+        mean_inc = inc / cycles
+        budget = p.total_levels
+        sweep.append(
+            ExperimentStats(
+                params=p,
+                cycles=cycles,
+                mean_r_inc=mean_inc,
+                mean_r_total=total / cycles,
+                eta=1.0 - mean_inc / budget,
+                gamma=mean_inc * dist.entropy_bits / budget,
+                seed=master_seed,
+            )
+        )
+    return sweep[0] if isinstance(params, CodeParams) else sweep
 
 
 def gamma_upper_bounds(k: int, l: int) -> tuple[float, float]:

@@ -72,10 +72,10 @@ def _report(name, ok, detail):
 def fig2_runs():
     """k=3 sweep over q with 1000 cycles per point, plus matched oracles."""
     uni = DistributionSpec.uniform(8)
+    srs = run_experiment([sr_params(3, q) for q in FIG2_Q_GRID], uni, 1000, 1101)
+    lbs = run_experiment([lb_params(3, q) for q in FIG2_Q_GRID], uni, 1000, 1202)
     runs = {}
-    for i, q in enumerate(FIG2_Q_GRID):
-        sr = run_experiment(sr_params(3, q), uni, 1000, 1101)
-        lb = run_experiment(lb_params(3, q), uni, 1000, 1202)
+    for i, (q, sr, lb) in enumerate(zip(FIG2_Q_GRID, srs, lbs)):
         d1 = np.mean(
             [balls_until_overflow(8, q, 1, cycle_rng(1303, i * 1000 + t)) for t in range(1000)]
         )
@@ -103,12 +103,9 @@ def scaling_cycles():
 @pytest.fixture(scope="module")
 def big_n_runs():
     """Both codes at n = 2**10 (k=10 vs k=9), 200 cycles per q."""
-    runs = {}
-    for q in BIG_Q_GRID:
-        sr = run_experiment(sr_params(10, q), DistributionSpec.uniform(1024), 200, 3001)
-        lb = run_experiment(lb_params(9, q), DistributionSpec.uniform(512), 200, 3002)
-        runs[q] = {"sr": sr, "lb": lb}
-    return runs
+    srs = run_experiment([sr_params(10, q) for q in BIG_Q_GRID], DistributionSpec.uniform(1024), 200, 3001)
+    lbs = run_experiment([lb_params(9, q) for q in BIG_Q_GRID], DistributionSpec.uniform(512), 200, 3002)
+    return {q: {"sr": sr, "lb": lb} for q, sr, lb in zip(BIG_Q_GRID, srs, lbs)}
 
 
 def test_criterion_1_round_trip_decodability(capsys):

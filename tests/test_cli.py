@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashmod.ballsbins import balls_until_overflow, throw_balls
-from flashmod.cli import SIMULATE_COLUMNS, emit_records, run_cli
+from flashmod.cli import SIMULATE_COLUMNS, build_parser, emit_records, run_cli
 from flashmod.codes import LoadBalancingCode, SelfRandomizedCode
 from flashmod.core import CellState, CodeKind, CodeParams
 from flashmod.sim import DistributionSpec, cycle_rngs, run_experiment
@@ -64,6 +64,21 @@ def test_simulate_is_byte_identical_for_same_seed(tmp_path):
     assert run_cli(args + ["--out", str(a)]) == 0
     assert run_cli(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    "A refused argv leaves the cached parser as it was: the next simulate writes what a fresh parser's does."
+    argv = ["simulate", "--k", "2", "--q", "8,2", "--cycles", "20", "--seed", "3", "--dist", "0.4,0.3,0.2,0.1", "--out"]
+    build_parser.cache_clear()
+    fresh = tmp_path / "fresh.csv"
+    assert run_cli(argv + [str(fresh)]) == 0
+    refused = ["simulate", "--code", "load-balancing", "--format", "json", "--k", "3", "--q", "4", "--cycles", "0",
+               "--out", str(tmp_path / "x.json")]
+    assert run_cli(refused) == 2
+    again = tmp_path / "again.csv"
+    assert run_cli(argv + [str(again)]) == 0
+    assert again.read_bytes() == fresh.read_bytes()
+    assert build_parser() is build_parser()
 
 
 def test_simulate_csv_and_json_carry_equal_values(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_codes import reference_lb_encode, reference_sr_encode
 
+import flashmod.sim as sim
 from flashmod.codes import make_code
 from flashmod.core import ERASE_REQUIRED, WRITTEN, CellState, CodeKind, CodeParams
 from flashmod.field import FieldSpec
@@ -170,6 +171,17 @@ class TestSampling:
         sigma = (100_000 * 0.25 * 0.75) ** 0.5
         assert np.all(np.abs(counts - 25_000) <= 3 * sigma)
 
+    @given(a=st.integers(0, 400).map(lambda i: 2 * i + 1), b=st.integers(0, 801), seed=st.integers(0, 2**32 - 1))
+    @example(a=1, b=0, seed=0)
+    @example(a=511, b=1024, seed=1)
+    def test_split_draws_continue_one_stream(self, a, b, seed):
+        "Draws of a then b equal draws of a + b: what lets run_cycle's blocks and a replayed tape agree."
+        dist = hot_law(16)
+        assert dist._split  # crossed buckets: the searched path is exercised too
+        split = cycle_rng(seed, 0)
+        parts = np.concatenate((dist.sample_block(split, a), dist.sample_block(split, b)))
+        assert parts.tolist() == dist.sample_block(cycle_rng(seed, 0), a + b).tolist()
+
 
 class TestRunCycle:
     def test_counts_and_bounds(self):
@@ -290,6 +302,65 @@ class TestRunExperiment:
         oracle = np.mean([balls_until_overflow(8, 4, 1, cycle_rng(42, t)) for t in range(1000)])
         eta_oracle = 1.0 - oracle / params.total_levels
         assert abs(stats.eta - eta_oracle) <= 0.02
+
+
+def sweep_points(kind, k, qs):
+    return [CodeParams(k=k, l=2, q=q, kind=kind) for q in qs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(list(CodeKind)),
+    k=st.integers(1, 6),
+    qs=st.lists(st.integers(2, 24), min_size=1, max_size=5),
+    hot=st.booleans(),
+    cycles=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind=CodeKind.SELF_RANDOMIZED, k=3, qs=[32, 2, 8, 2], hot=False, cycles=3, seed=91)
+@example(kind=CodeKind.LOAD_BALANCING, k=2, qs=[16, 4, 16, 2], hot=True, cycles=2, seed=7)
+def test_sweep_equals_a_lone_run_per_point(kind, k, qs, hot, cycles, seed):
+    "Every point of a q sweep, unsorted and with repeats, reads as a lone run_experiment at its q."
+    points = sweep_points(kind, k, qs)
+    dist = hot_law(2**k) if hot else uniform(k)
+    sweep = run_experiment(points, dist, cycles, seed)
+    assert [s._asdict() for s in sweep] == [run_experiment(p, dist, cycles, seed)._asdict() for p in points]
+
+
+@pytest.mark.parametrize("kind", list(CodeKind))
+def test_sweep_past_the_kept_prefix(kind, monkeypatch):
+    "With the cap low, points read past the kept inputs and still equal lone runs; no tape keeps more than the cap."
+    cap = 40
+    monkeypatch.setattr(sim, "_KEEP", cap)
+    kept, past = [], []
+    lone_cycle = sim.run_cycle
+
+    def run_cycle(code, dist, rng):
+        stats = lone_cycle(code, dist, rng)
+        kept.append(sum(map(len, rng._kept)))
+        past.append(stats.r_total + 1 > kept[-1])  # the erase write is read too
+        return stats
+
+    monkeypatch.setattr(sim, "run_cycle", run_cycle)
+    points = sweep_points(kind, 2, (64, 3, 64, 16))
+    dist = hot_law(4)
+    sweep = run_experiment(points, dist, 6, 5)
+    monkeypatch.undo()
+    assert sweep == [run_experiment(p, dist, 6, 5) for p in points]
+    assert len(kept) == 6 * len(points) and max(kept) <= cap
+    assert sum(past) >= 6 * 2  # the q=64 points of every cycle, at least
+
+
+def test_sweep_refuses_mixed_points():
+    "Only q may differ between the points of one sweep."
+    dist = uniform(2)
+    for points in (
+        [],
+        sweep_points(CodeKind.SELF_RANDOMIZED, 2, (4,)) + sweep_points(CodeKind.SELF_RANDOMIZED, 3, (4,)),
+        sweep_points(CodeKind.SELF_RANDOMIZED, 2, (4,)) + sweep_points(CodeKind.LOAD_BALANCING, 2, (4,)),
+    ):
+        with pytest.raises(ValueError, match="only q may differ"):
+            run_experiment(points, dist, 2, 1)
 
 
 def test_cycle_rng_is_stable_and_independent():
