@@ -13,20 +13,30 @@ from flashmod import (
     CodeParams,
     DistributionSpec,
     balls_until_overflow,
-    cycle_rng,
+    cycle_rngs,
     run_experiment,
 )
 
 CYCLES = 300  # bump to 1000 for smoother curves
+SR, LB = CodeKind.SELF_RANDOMIZED, CodeKind.LOAD_BALANCING
+
+
+def sweep(kind, k, qs, seed):
+    """One run_experiment call per code: every q point reads the same cycle streams."""
+    points = [CodeParams(k=k, l=2, q=q, kind=kind) for q in qs]
+    return run_experiment(points, DistributionSpec.uniform(2**k), CYCLES, seed)
+
+
+def oracle(n, q, d, seed):
+    """Mean balls placed until one of n bins would pass q-1, over CYCLES seeded trials."""
+    return np.mean([balls_until_overflow(n, q, d, rng) for rng in cycle_rngs(seed, 0, CYCLES)])
+
 
 print("k=3, l=2: eta of each code vs its random-loading oracle")
 print(f"{'q':>3} {'eta_sr':>8} {'d=1 oracle':>11} {'eta_lb':>8} {'d=2 oracle':>11}")
-uni = DistributionSpec.uniform(8)
-for q in (2, 4, 8, 16, 32):
-    sr = run_experiment(CodeParams(k=3, l=2, q=q, kind=CodeKind.SELF_RANDOMIZED), uni, CYCLES, 11)
-    lb = run_experiment(CodeParams(k=3, l=2, q=q, kind=CodeKind.LOAD_BALANCING), uni, CYCLES, 12)
-    d1 = np.mean([balls_until_overflow(8, q, 1, cycle_rng(13, t)) for t in range(CYCLES)])
-    d2 = np.mean([balls_until_overflow(16, q, 2, cycle_rng(14, t)) for t in range(CYCLES)])
+qs = (2, 4, 8, 16, 32)
+for q, sr, lb in zip(qs, sweep(SR, 3, qs, 11), sweep(LB, 3, qs, 12)):
+    d1, d2 = oracle(8, q, 1, 13), oracle(16, q, 2, 14)
     print(
         f"{q:>3} {sr.eta:>8.4f} {1 - d1 / (8 * (q - 1)):>11.4f} "
         f"{lb.eta:>8.4f} {1 - d2 / (16 * (q - 1)):>11.4f}"
@@ -35,13 +45,8 @@ for q in (2, 4, 8, 16, 32):
 print()
 print("matched cell budget n=2^7: gamma (bits per level increment)")
 print(f"{'q':>3} {'self-randomized k=7':>20} {'load-balancing k=6':>20}")
-for q in (4, 8, 16):
-    sr = run_experiment(
-        CodeParams(k=7, l=2, q=q, kind=CodeKind.SELF_RANDOMIZED), DistributionSpec.uniform(128), CYCLES, 21
-    )
-    lb = run_experiment(
-        CodeParams(k=6, l=2, q=q, kind=CodeKind.LOAD_BALANCING), DistributionSpec.uniform(64), CYCLES, 22
-    )
+qs = (4, 8, 16)
+for q, sr, lb in zip(qs, sweep(SR, 7, qs, 21), sweep(LB, 6, qs, 22)):
     print(f"{q:>3} {sr.gamma:>20.3f} {lb.gamma:>20.3f}")
 
 print()

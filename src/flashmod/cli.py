@@ -61,22 +61,19 @@ def _fmt(value) -> str:
 
 
 def _emit(rows, columns, fmt: str, path: str) -> None:
-    """Write rows, tuples in the order of columns, as CSV or a JSON array."""
+    """Write rows, tuples in the order of columns, as CSV or a JSON array; a row that fails to serialize writes no file."""
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(map(_fmt, row)) for row in rows)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        text = "\n".join([",".join(columns), *(",".join(map(_fmt, row)) for row in rows)])
     elif fmt == "json":
         payload = [
             {c: float(_fmt(v)) if isinstance(v, float) else v for c, v in zip(columns, row)}
             for row in rows
         ]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        text = json.dumps(payload, indent=2)
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text + "\n")
 
 
 def emit_records(stats, fmt: str, path: str) -> None:
@@ -275,15 +272,12 @@ def _cmd_bounds(args):
 def _roundtrip_point(params: CodeParams, writes: int, seed: int, stream: int) -> int:
     """Random writes with a decode check after each one; returns failures."""
     code = make_code(params)
-    rng = cycle_rng(seed, stream)
+    law, rng = DistributionSpec.uniform(params.value_count), cycle_rng(seed, stream)
     state = CellState.zeros(params.n, params.q)
-    failures = 0
-    done = 0
-    values = params.value_count
+    failures = done = 0
     while done < writes:
-        for x in rng.integers(0, values, size=256).tolist():
-            if done >= writes:
-                break
+        # each input counts at most one write, so no block runs past writes
+        for x in law.sample_block(rng, min(writes - done, 256)).tolist():
             if code.encode(state, x) is ERASE_REQUIRED:
                 state = CellState.zeros(params.n, params.q)  # new cycle, write not counted
                 continue

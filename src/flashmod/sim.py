@@ -8,9 +8,9 @@ efficiency gamma (bits stored per available level increment).
 
 Cycles are independent given their streams, so they may run in any
 order or concurrently; aggregation is a plain mean, which is order
-independent.  A q sweep reads one stream per cycle index: cycle i's
-inputs are drawn once, onto an input tape that keeps at most _KEEP of
-them, and replayed to every q point.
+independent.  A q sweep reads one stream per cycle index, forward and
+once: cycle i's inputs are drawn onto an input tape that keeps at most
+_KEEP of them, and replayed to every q point.
 """
 
 import math
@@ -184,17 +184,17 @@ class _InputTape:
 
     replay yields run_cycle's blocks from the start.  Blocks a point has
     read are kept, while they total at most _KEEP inputs, so a later
-    point draws only past the longest prefix any earlier one read.  A
-    point that reads past the kept prefix once the cap is reached derives
-    the cycle's stream again and skips the prefix with one rng.random
-    call.  Split draws continue one stream, so every point reads the
-    inputs a lone run_cycle on the stream would.
+    point draws only past the longest prefix any earlier one read.  When
+    the next block would pass the cap, the tape saves rng's state there,
+    and a point that reads past the kept prefix restores it and draws on
+    without keeping.  Split draws continue one stream, so every point
+    reads the inputs a lone run_cycle on the stream would.
     """
 
-    __slots__ = ("_dist", "_rng", "_seed", "_index", "_kept", "_count", "_block")
+    __slots__ = ("_dist", "_rng", "_kept", "_count", "_block", "_resume")
 
-    def __init__(self, dist: DistributionSpec, rng: np.random.Generator, n: int, master_seed: int, index: int):
-        self._dist, self._rng, self._seed, self._index = dist, rng, master_seed, index
+    def __init__(self, dist: DistributionSpec, rng: np.random.Generator, n: int):
+        self._dist, self._rng, self._resume = dist, rng, None  # rng's state past a full tape
         self._kept, self._count = [], 0  # the kept blocks and their total length
         self._block = min(2 * n, _SAMPLE_BLOCK)  # the length of the next block
 
@@ -207,9 +207,11 @@ class _InputTape:
             self._count += block
             self._block = block = min(2 * block, _SAMPLE_BLOCK)
             yield values
-        rng = cycle_rng(self._seed, self._index)
-        rng.random(self._count)
-        yield from _draws(self._dist, rng, block)
+        # a copy of counter, buffer and half-used uint32; rng is cycle_rngs' one
+        # Generator, which the next index resets, so restoring it mid-cycle is safe
+        self._resume = self._resume or self._rng.bit_generator.state
+        self._rng.bit_generator.state = self._resume
+        yield from _draws(self._dist, self._rng, block)
 
 
 def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator | _InputTape) -> CycleStats:
@@ -259,23 +261,24 @@ def run_experiment(
     returns a list of one ExperimentStats per point, in order.  Any other
     difference raises ValueError.  Cycle i consumes the Philox stream
     cycle_rng(master_seed, i), drawn from cycle_rngs, at every point.
-    A sweep draws it once per cycle, onto an input tape that keeps at
-    most _KEEP = 2**20 inputs, and replays it to each point; a point
-    that reads past a full tape draws the stream again past what it
-    keeps.  A single point keeps nothing.  Each point still runs its own
-    run_cycle per cycle, from a fresh CellState, so its stats equal a
-    lone run at its q, and a repeat with the same master seed reproduces
-    every cycle exactly.  eta and gamma are computed from incrementing
-    writes only; same-value no-ops show up in mean_r_total.
+    A sweep reads it forward once per cycle, onto an input tape that
+    keeps at most _KEEP = 2**20 inputs, and replays it to each point; a
+    point that reads past a full tape resumes the stream from the state
+    the tape saved there.  A single point keeps nothing.  Each point
+    still runs its own run_cycle per cycle, from a fresh CellState, so
+    its stats equal a lone run at its q, and a repeat with the same
+    master seed reproduces every cycle exactly.  eta and gamma are
+    computed from incrementing writes only; same-value no-ops show up in
+    mean_r_total.
     """
-    cycles = read_count(cycles, "cycles", 1)
+    cycles, master_seed = read_count(cycles, "cycles", 1), read_count(master_seed, "master_seed", 0)
     points = [params] if isinstance(params, CodeParams) else list(params)
     if not points or any((p.kind, p.k) != (points[0].kind, points[0].k) for p in points):
         raise ValueError("a sweep needs one or more points of one code kind and k; only q may differ")
     codes = [make_code(p) for p in points]
     total_inc, total_all = [0] * len(points), [0] * len(points)
-    for i, rng in enumerate(cycle_rngs(master_seed, 0, cycles)):
-        inputs = rng if len(points) == 1 else _InputTape(dist, rng, points[0].n, master_seed, i)
+    for rng in cycle_rngs(master_seed, 0, cycles):
+        inputs = rng if len(points) == 1 else _InputTape(dist, rng, points[0].n)
         for j, code in enumerate(codes):
             stats = run_cycle(code, dist, inputs)
             total_inc[j] += stats.r_inc
@@ -330,6 +333,8 @@ def min_of_n_expectation(samples, n: int) -> float:
     values = np.asarray(samples, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("samples must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("samples must be finite")
     n = read_count(n, "n", 1)
     values = np.sort(values)
     m = values.size

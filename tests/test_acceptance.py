@@ -26,7 +26,7 @@ from flashmod.ballsbins import (
 from flashmod.cli import run_cli
 from flashmod.codes import make_code
 from flashmod.field import FieldSpec, gf_mul
-from flashmod.sim import DistributionSpec, cycle_rng, run_cycle, run_experiment
+from flashmod.sim import DistributionSpec, cycle_rng, cycle_rngs, run_cycle, run_experiment
 
 FIG2_Q_GRID = (2, 4, 8, 16, 32)
 BIG_Q_GRID = (4, 8, 16)
@@ -76,12 +76,8 @@ def fig2_runs():
     lbs = run_experiment([lb_params(3, q) for q in FIG2_Q_GRID], uni, 1000, 1202)
     runs = {}
     for i, (q, sr, lb) in enumerate(zip(FIG2_Q_GRID, srs, lbs)):
-        d1 = np.mean(
-            [balls_until_overflow(8, q, 1, cycle_rng(1303, i * 1000 + t)) for t in range(1000)]
-        )
-        d2 = np.mean(
-            [balls_until_overflow(16, q, 2, cycle_rng(1404, i * 1000 + t)) for t in range(1000)]
-        )
+        d1 = np.mean([balls_until_overflow(8, q, 1, rng) for rng in cycle_rngs(1303, i * 1000, 1000)])
+        d2 = np.mean([balls_until_overflow(16, q, 2, rng) for rng in cycle_rngs(1404, i * 1000, 1000)])
         runs[q] = {
             "sr": sr,
             "lb": lb,

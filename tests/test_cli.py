@@ -9,12 +9,13 @@ import signal
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flashmod.ballsbins import balls_until_overflow, throw_balls
-from flashmod.cli import SIMULATE_COLUMNS, build_parser, emit_records, run_cli
+from flashmod.cli import SIMULATE_COLUMNS, _emit, build_parser, emit_records, run_cli
 from flashmod.codes import LoadBalancingCode, SelfRandomizedCode
 from flashmod.core import CellState, CodeKind, CodeParams
 from flashmod.sim import DistributionSpec, cycle_rngs, run_experiment
@@ -218,6 +219,25 @@ def test_emit_records_empty_and_single(tmp_path):
     with pytest.raises(ValueError, match="unknown format"):
         emit_records([stats], "xml", str(xml))
     assert not xml.exists()
+
+
+def test_emit_records_reads_the_seed_as_an_int(tmp_path):
+    "A NumPy or bool seed is stored as an int, so the JSON parses and the CSV prints digits."
+    uni = DistributionSpec.uniform(2)
+    params = CodeParams(k=1, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED)
+    for seed, want in ((np.int64(5), 5), (True, 1)):
+        stats = run_experiment(params, uni, 3, seed)
+        assert type(stats.seed) is int and stats.seed == want
+        assert stats == run_experiment(params, uni, 3, want)
+        emit_records([stats], "json", str(tmp_path / "s.json"))
+        assert json.loads((tmp_path / "s.json").read_text())[0]["seed"] == want
+        emit_records([stats], "csv", str(tmp_path / "s.csv"))
+        assert read_csv(tmp_path / "s.csv")[1][-1] == str(want)
+    # a row that fails to serialize leaves no file, not a truncated one
+    bad = tmp_path / "bad.json"
+    with pytest.raises(TypeError):
+        _emit([(object(),)], ("seed",), "json", str(bad))
+    assert not bad.exists()
 
 
 def test_bounds_prints_dc(capsys):

@@ -14,6 +14,7 @@ from flashmod.field import FieldSpec
 from flashmod.sim import (
     DistributionSpec,
     cycle_rng,
+    cycle_rngs,
     gamma_upper_bounds,
     min_of_n_expectation,
     run_cycle,
@@ -299,7 +300,7 @@ class TestRunExperiment:
 
         params = CodeParams(k=3, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED)
         stats = run_experiment(params, uniform(3), 1000, 41)
-        oracle = np.mean([balls_until_overflow(8, 4, 1, cycle_rng(42, t)) for t in range(1000)])
+        oracle = np.mean([balls_until_overflow(8, 4, 1, rng) for rng in cycle_rngs(42, 0, 1000)])
         eta_oracle = 1.0 - oracle / params.total_levels
         assert abs(stats.eta - eta_oracle) <= 0.02
 
@@ -329,9 +330,17 @@ def test_sweep_equals_a_lone_run_per_point(kind, k, qs, hot, cycles, seed):
 
 @pytest.mark.parametrize("kind", list(CodeKind))
 def test_sweep_past_the_kept_prefix(kind, monkeypatch):
-    "With the cap low, points read past the kept inputs and still equal lone runs; no tape keeps more than the cap."
+    """With the cap low, points read past the kept inputs and still equal lone runs; no tape keeps more than the cap.
+
+    A point past the cap resumes the stream from the state the tape saved, so no stream is derived twice.
+    """
     cap = 40
     monkeypatch.setattr(sim, "_KEEP", cap)
+
+    def derive_again(*args):
+        raise AssertionError("a sweep derived a cycle's stream a second time")
+
+    monkeypatch.setattr(sim, "cycle_rng", derive_again)
     kept, past = [], []
     lone_cycle = sim.run_cycle
 
@@ -407,3 +416,6 @@ class TestMinOfN:
             min_of_n_expectation([1.0], 0)
         with pytest.raises(TypeError):
             min_of_n_expectation([1, 2, 3], 2.5)
+        for bad in ([1.0, math.nan], [1.0, math.inf]):
+            with pytest.raises(ValueError, match="samples must be finite"):
+                min_of_n_expectation(bad, 2)
