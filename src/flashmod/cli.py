@@ -4,19 +4,25 @@ Each subcommand handler checks all of its inputs, then returns the run
 as a zero-argument callable.  ``run_cli`` alone maps errors to exit
 codes: 2 for a flag argparse rejects or an error raised while a handler
 checks, so always before any output; 1 for an error raised by the run
-and for failed ``roundtrip`` decodes; 0 otherwise.  An --out in a
-missing directory is an error while checking; an --out that cannot be
-opened for writing fails in the run.  A flag's syntax is its argparse
-type, and its domain is stated once, in the library: a count flag's type
-applies the reader the library checks that count with (core.read_count,
-or core.read_cells for --n), so it fails with the library's message
-while parsing, and any other flag is checked by the function the
-handler passes it to.  Every input comes from argv (and a --dist file
-it names); no environment variable is read.
+and for failed ``roundtrip`` decodes; 0 otherwise.  An empty --out, one
+that names a directory and one in a missing directory are errors while
+checking; an --out that cannot be opened for writing fails in the run.
+Both sweep commands read seeded streams by one rule: cycle t of every
+``simulate`` q point, and trial t of every ``ballsbins`` point, reads
+stream t of the master seed, so a row depends on its own point, the seed
+and the cycle or trial count, never on the other points of the list.
+A flag's syntax is its argparse type, and its domain is stated once, in
+the library: a count flag's type applies the reader the library checks
+that count with (core.read_count, or core.read_cells for --n), so it
+fails with the library's message while parsing, and any other flag is
+checked by the function the handler passes it to.  Every input comes
+from argv (and a --dist file it names); no environment variable is
+read.
 """
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -201,9 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out_dir(path: str) -> None:
-    """Reject an empty --out, or one whose directory is missing, before any work runs."""
+    """Reject an empty --out, a directory, or a file in a missing directory, before any work runs."""
     if not path:
         raise ValueError("output directory: --out is empty, so it names no file")
+    if os.path.isdir(path):
+        raise ValueError(f"output {path!r} is a directory, not a file")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"output directory {directory!r} does not exist")
@@ -219,9 +227,8 @@ def _cmd_simulate(args):
 def _cmd_ballsbins(args):
     _check_out_dir(args.out)
 
-    def trial_mean(sweep_index: int, trial) -> float:
-        rngs = cycle_rngs(args.seed, sweep_index * args.trials, args.trials)
-        return sum(trial(rng) for rng in rngs) / args.trials
+    def trial_mean(trial) -> float:  # trial t of every point reads stream t
+        return sum(trial(rng) for rng in cycle_rngs(args.seed, 0, args.trials)) / args.trials
 
     if args.mode == "maxload":
         if args.m is None:
@@ -231,8 +238,8 @@ def _cmd_ballsbins(args):
         predictions = [max_load_prediction(args.n, args.m, d).predicted_max_load for d in args.d]
 
         def rows():
-            for sweep_index, (d, predicted) in enumerate(zip(args.d, predictions)):
-                mean = trial_mean(sweep_index, lambda rng: int(throw_balls(args.n, args.m, d, rng).max()))
+            for d, predicted in zip(args.d, predictions):
+                mean = trial_mean(lambda rng: int(throw_balls(args.n, args.m, d, rng).max()))
                 yield args.mode, args.n, args.m, d, args.trials, mean, predicted, args.seed
 
         return lambda: _emit(rows(), MAXLOAD_COLUMNS, args.format, args.out)
@@ -242,8 +249,8 @@ def _cmd_ballsbins(args):
         raise ValueError("overflow mode takes no --m")
 
     def rows():
-        for sweep_index, (q, d) in enumerate((q, d) for q in args.q for d in args.d):
-            mean = trial_mean(sweep_index, lambda rng: balls_until_overflow(args.n, q, d, rng))
+        for q, d in itertools.product(args.q, args.d):
+            mean = trial_mean(lambda rng: balls_until_overflow(args.n, q, d, rng))
             yield args.mode, args.n, q, d, args.trials, mean, 1.0 - mean / (args.n * (q - 1)), args.seed
 
     return lambda: _emit(rows(), OVERFLOW_COLUMNS, args.format, args.out)

@@ -16,6 +16,7 @@ _KEEP of them, and replayed to every q point.
 import math
 import sys
 from collections.abc import Sequence
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -307,10 +308,11 @@ def gamma_upper_bounds(k: int, l: int) -> tuple[float, float]:
     Returns (log2(k*l), k*log2(l)).  The first applies when a single one
     of the k variables may change per rewrite (k*l possible new values),
     the second when the whole k-variable may change arbitrarily (l**k
-    possible new values).  k and l may not exceed sys.float_info.max, and
-    neither may the second ceiling.
+    possible new values).  k and l are counts, so a float raises
+    TypeError; they may not exceed sys.float_info.max, and neither may
+    the second ceiling.
     """
-    top = sys.float_info.max
+    k, l, top = index(k), index(l), sys.float_info.max
     if not (1 <= k <= top and 2 <= l <= top):
         raise ValueError(f"need k >= 1 and l >= 2 within float range, got k={k}, l={l}")
     arbitrary = k * math.log2(l)

@@ -75,9 +75,9 @@ def fig2_runs():
     srs = run_experiment([sr_params(3, q) for q in FIG2_Q_GRID], uni, 1000, 1101)
     lbs = run_experiment([lb_params(3, q) for q in FIG2_Q_GRID], uni, 1000, 1202)
     runs = {}
-    for i, (q, sr, lb) in enumerate(zip(FIG2_Q_GRID, srs, lbs)):
-        d1 = np.mean([balls_until_overflow(8, q, 1, rng) for rng in cycle_rngs(1303, i * 1000, 1000)])
-        d2 = np.mean([balls_until_overflow(16, q, 2, rng) for rng in cycle_rngs(1404, i * 1000, 1000)])
+    for q, sr, lb in zip(FIG2_Q_GRID, srs, lbs):
+        d1 = np.mean([balls_until_overflow(8, q, 1, rng) for rng in cycle_rngs(1303, 0, 1000)])
+        d2 = np.mean([balls_until_overflow(16, q, 2, rng) for rng in cycle_rngs(1404, 0, 1000)])
         runs[q] = {
             "sr": sr,
             "lb": lb,

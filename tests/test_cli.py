@@ -6,6 +6,8 @@ import os
 import re
 import shlex
 import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flashmod
 from flashmod.ballsbins import balls_until_overflow, throw_balls
 from flashmod.cli import SIMULATE_COLUMNS, _emit, build_parser, emit_records, run_cli
 from flashmod.codes import LoadBalancingCode, SelfRandomizedCode
@@ -21,6 +24,7 @@ from flashmod.core import CellState, CodeKind, CodeParams
 from flashmod.sim import DistributionSpec, cycle_rngs, run_experiment
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(flashmod.__file__).resolve().parent.parent
 HUGE = "1" + "0" * 400  # an integer literal beyond float range
 NEAR_MAX = str(int(1.7e308))  # within float range, but k*log2(4) = 2k is not
 
@@ -65,6 +69,51 @@ def test_simulate_is_byte_identical_for_same_seed(tmp_path):
     assert run_cli(args + ["--out", str(a)]) == 0
     assert run_cli(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# the columns a sweep row names its point in, by the flag that lists that point
+POINT_COLUMNS = {"simulate": {"--q": 3}, "overflow": {"--q": 2, "--d": 3}, "maxload": {"--d": 3}}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "simulate --code self-randomized --k 2 --q 8,2,8,4 --cycles 6 --seed 9",
+        "simulate --code load-balancing --k 2 --q 8,2,8,4 --cycles 6 --seed 9",
+        "ballsbins --mode overflow --n 8 --q 4,2,4 --d 2,1,3,2 --trials 6 --seed 9",
+        "ballsbins --mode maxload --n 16 --m 40 --d 3,1,2,1 --trials 6 --seed 9",
+    ],
+    ids=["simulate-sr", "simulate-lb", "overflow", "maxload"],
+)
+def test_every_sweep_row_equals_a_lone_run_of_its_point(command, tmp_path):
+    "A row depends on its point, the seed and the run count, never on the other points of the list or their order."
+    argv = command.split()
+    columns = POINT_COLUMNS[argv[2] if argv[0] == "ballsbins" else argv[0]]
+
+    def rows(call):
+        assert run_cli(call + ["--out", str(tmp_path / "rows.csv")]) == 0, call
+        return read_csv(tmp_path / "rows.csv")[1:]
+
+    sweep = rows(argv)
+    assert len(sweep) == np.prod([len(argv[argv.index(flag) + 1].split(",")) for flag in columns])
+    for row in sweep:
+        lone = list(argv)
+        for flag, column in columns.items():
+            lone[lone.index(flag) + 1] = row[column]
+        assert rows(lone) == [row], lone
+
+
+def test_module_entry_point_exit_codes():
+    "python -m flashmod.cli exits with run_cli's code: 0 for a run, 2 with error: on stderr for a refused one."
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "flashmod.cli", *argv], capture_output=True, text=True, env=env, timeout=60)
+
+    ok = run("bounds", "--dc", "1")
+    assert ok.returncode == 0 and ok.stdout.startswith("dc(1) = ") and ok.stderr == "", ok
+    refused = run("bounds")
+    assert refused.returncode == 2 and refused.stdout == "" and refused.stderr.startswith("error: "), refused
 
 
 def test_one_parser_serves_every_call(tmp_path):
@@ -574,21 +623,27 @@ def test_unwritable_output_is_runtime_failure(tmp_path, monkeypatch, capsys):
     ballsbins = ["ballsbins", "--mode", "overflow", "--n", "8", "--q", "4", "--trials", "2", "--out"]
 
     def no_work(*args, **kwargs):
-        raise AssertionError("an empty --out or one in a missing directory must exit before any work")
+        raise AssertionError("an empty --out, a directory or a file in a missing directory must exit before any work")
 
-    # a missing directory or an empty path is a configuration error: exit 2 before any cycle or trial
+    # each is a configuration error: exit 2 before any cycle or trial, with nothing written
     with monkeypatch.context() as m:
         m.setattr("flashmod.cli.run_experiment", no_work)
         m.setattr("flashmod.cli.balls_until_overflow", no_work)
-        for out in (missing, ""):
+        for out in (missing, "", str(tmp_path), str(tmp_path) + os.sep):
             for argv in (simulate, ballsbins):
                 assert run_cli(argv + [out]) == 2, (argv[0], out)
                 captured = capsys.readouterr()
-                assert captured.out == "" and captured.err.startswith("error: output directory"), (argv[0], out)
-    assert not (tmp_path / "no").exists()
-    # an --out naming a directory fails only when the run opens it: exit 1
+                assert captured.out == "" and captured.err.startswith("error: output"), (argv[0], out)
+    assert list(tmp_path.iterdir()) == []
+    # an --out that passes the checks but cannot be opened fails when the run opens it: exit 1
+
+    def unopenable(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr("flashmod.cli.open", unopenable, raising=False)
     for argv in (simulate, ballsbins):
-        assert run_cli(argv + [str(tmp_path)]) == 1, argv[0]
+        assert run_cli(argv + [str(tmp_path / "x.csv")]) == 1, argv[0]
+        assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied"), argv[0]
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch):

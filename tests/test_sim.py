@@ -390,6 +390,11 @@ def test_gamma_upper_bounds_examples():
     for k, l in ((0, 2), (2, 1), (10**400, 2), (2, 10**400), (int(1.7e308), 4)):
         with pytest.raises(ValueError):
             gamma_upper_bounds(k, l)
+    # k and l are counts: a fraction is refused, not turned into a plausible ceiling
+    for k, l in ((2.5, 2), (3, 2.5), (3.0, 2)):
+        with pytest.raises(TypeError):
+            gamma_upper_bounds(k, l)
+    assert gamma_upper_bounds(np.int64(3), np.int32(2)) == gamma_upper_bounds(3, 2)
 
 
 class TestMinOfN:
