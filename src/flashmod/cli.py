@@ -13,11 +13,12 @@ stream t of the master seed, so a row depends on its own point, the seed
 and the cycle or trial count, never on the other points of the list.
 A flag's syntax is its argparse type, and its domain is stated once, in
 the library: a count flag's type applies the reader the library checks
-that count with (core.read_count, or core.read_cells for --n), so it
-fails with the library's message while parsing, and any other flag is
-checked by the function the handler passes it to.  Every input comes
-from argv (and a --dist file it names); no environment variable is
-read.
+that count with (core.read_count, core.read_cells for --n, and sim's
+stream reader, below the 2^128 streams of a seed, for --cycles and
+--trials), so it fails with the library's message while parsing, and
+any other flag is checked by the function the handler passes it to.
+Every input comes from argv (and a --dist file it names); no
+environment variable is read.
 """
 
 import argparse
@@ -37,7 +38,7 @@ from .ballsbins import (
 )
 from .codes import make_code
 from .core import ERASE_REQUIRED, CellState, CodeKind, CodeParams, read_cells, read_count
-from .sim import DistributionSpec, cycle_rng, cycle_rngs, gamma_upper_bounds, run_experiment
+from .sim import DistributionSpec, _read_streams, cycle_rng, cycle_rngs, gamma_upper_bounds, run_experiment
 
 __all__ = ["run_cli", "main", "emit_records", "SIMULATE_COLUMNS"]
 
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--code", choices=codes, default="self-randomized")
     sim.add_argument("--k", type=int, required=True, help="variables per group")
     sim.add_argument("--q", type=_commas(int), required=True, help="comma-separated q sweep, e.g. 2,4,8,16,32")
-    sim.add_argument("--cycles", type=_integer(read_count, "cycles", 1), default=1000, help="erasure cycles per sweep point")
+    sim.add_argument("--cycles", type=_integer(_read_streams, "cycles", 1), default=1000, help="erasure cycles per sweep point")
     sim.add_argument("--dist", default=None, help="input law: file (one prob per line or comma) or inline p0,p1,...")
 
     balls = sub.add_parser("ballsbins", parents=[seeded, output], help="d-choice random loading sweeps")
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     balls.add_argument("--m", type=int, default=None, help="balls per trial (maxload mode)")
     balls.add_argument("--q", type=_commas(_integer(read_count, "q", 2)), default=None, help="comma-separated level counts (overflow mode)")
     balls.add_argument("--d", type=_commas(_integer(read_count, "d", 1)), default="1", help="comma-separated choice counts, e.g. 1,2")
-    balls.add_argument("--trials", type=_integer(read_count, "trials", 1), default=100)
+    balls.add_argument("--trials", type=_integer(_read_streams, "trials", 1), default=100)
 
     bounds = sub.add_parser("bounds", help="evaluate the analytic formulas")
     # every bounds flag may repeat; flags print in this order, a flag's values in argv order

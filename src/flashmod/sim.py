@@ -8,9 +8,10 @@ efficiency gamma (bits stored per available level increment).
 
 Cycles are independent given their streams, so they may run in any
 order or concurrently; aggregation is a plain mean, which is order
-independent.  A q sweep reads one stream per cycle index, forward and
-once: cycle i's inputs are drawn onto an input tape that keeps at most
-_KEEP of them, and replayed to every q point.
+independent.  A run reads one stream per cycle index, forward and
+once: cycle i's inputs are drawn onto an input tape and replayed to
+every q point, a lone run being a one-point sweep; every point but the
+last keeps the inputs it draws, at most _KEEP of them.
 """
 
 import math
@@ -134,11 +135,16 @@ def cycle_rngs(master_seed: int, start: int, count: int):
     so use each stream before asking for the next.  Memory is constant in
     count; the arguments are checked at the call, not at the first draw.
     """
-    master_seed = read_count(master_seed, "master_seed", 0)
-    start, count = read_count(start, "start", 0), read_count(count, "count", 0)
+    master_seed, start = read_count(master_seed, "master_seed", 0), read_count(start, "start", 0)
+    return _streams(master_seed, start, start + _read_streams(count, "count", 0, start))
+
+
+def _read_streams(count, name: str, low: int, start: int = 0) -> int:
+    """count as read_count reads it, once streams start .. start+count-1 all lie below 2**128."""
+    count = read_count(count, name, low)
     if start + count > 1 << 128:  # Philox's 256-bit counter holds 2**128 streams
         raise ValueError(f"stream indices must be below 2^128, got start={start}, count={count}")
-    return _streams(master_seed, start, start + count)
+    return count
 
 
 def _streams(master_seed: int, start: int, stop: int):
@@ -173,46 +179,45 @@ class ExperimentStats(NamedTuple):
     seed: int
 
 
-def _draws(dist: DistributionSpec, rng: np.random.Generator, block: int):
-    """dist's draws from rng as lists, in blocks doubling from block up to _SAMPLE_BLOCK."""
-    while True:
-        yield dist.sample_block(rng, block).tolist()
-        block = min(2 * block, _SAMPLE_BLOCK)
-
-
 class _InputTape:
-    """One cycle's inputs for every point of a sweep: drawn once, replayed.
+    """One cycle's inputs, drawn once and replayed to each of readers.
 
-    replay yields run_cycle's blocks from the start.  Blocks a point has
-    read are kept, while they total at most _KEEP inputs, so a later
-    point draws only past the longest prefix any earlier one read.  When
-    the next block would pass the cap, the tape saves rng's state there,
-    and a point that reads past the kept prefix restores it and draws on
-    without keeping.  Split draws continue one stream, so every point
-    reads the inputs a lone run_cycle on the stream would.
+    replay yields run_cycle's blocks from the start, in lengths doubling
+    from 2n up to _SAMPLE_BLOCK, so a short cycle does not sample
+    hundreds of unused inputs.  Every reader but the last keeps the
+    blocks it draws while they total at most _KEEP inputs, so a later
+    reader draws only past the longest prefix any earlier one read.
+    When the next block would pass the cap, the tape saves rng's state
+    there, and a reader that reads past the kept prefix restores it and
+    draws on without keeping.  Split draws continue one stream, so every
+    reader reads the inputs a lone run_cycle on the stream would.
     """
 
-    __slots__ = ("_dist", "_rng", "_kept", "_count", "_block", "_resume")
+    __slots__ = ("_dist", "_rng", "_readers", "_kept", "_count", "_block", "_resume")
 
-    def __init__(self, dist: DistributionSpec, rng: np.random.Generator, n: int):
+    def __init__(self, dist: DistributionSpec, rng: np.random.Generator, n: int, readers: int):
         self._dist, self._rng, self._resume = dist, rng, None  # rng's state past a full tape
+        self._readers = readers  # replays yet to start
         self._kept, self._count = [], 0  # the kept blocks and their total length
         self._block = min(2 * n, _SAMPLE_BLOCK)  # the length of the next block
 
     def replay(self):
+        self._readers -= 1
         yield from self._kept
-        block = self._block
-        while self._count + block <= _KEEP:
-            values = self._dist.sample_block(self._rng, block).tolist()
-            self._kept.append(values)
-            self._count += block
-            self._block = block = min(2 * block, _SAMPLE_BLOCK)
-            yield values
-        # a copy of counter, buffer and half-used uint32; rng is cycle_rngs' one
-        # Generator, which the next index resets, so restoring it mid-cycle is safe
-        self._resume = self._resume or self._rng.bit_generator.state
-        self._rng.bit_generator.state = self._resume
-        yield from _draws(self._dist, self._rng, block)
+        dist, rng, block = self._dist, self._rng, self._block
+        if self._resume:  # a copy of counter, buffer and half-used uint32, restored mid-cycle:
+            rng.bit_generator.state = self._resume  # safe, as cycle_rngs' next index resets rng
+        elif self._readers:
+            while self._count + block <= _KEEP:
+                values = dist.sample_block(rng, block).tolist()
+                self._kept.append(values)
+                self._count += block
+                self._block = block = min(2 * block, _SAMPLE_BLOCK)
+                yield values
+            self._resume = rng.bit_generator.state
+        while True:
+            yield dist.sample_block(rng, block).tolist()
+            block = min(2 * block, _SAMPLE_BLOCK)
 
 
 def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator | _InputTape) -> CycleStats:
@@ -223,26 +228,23 @@ def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator | _InputTap
     r_total.  The write that triggers ERASE_REQUIRED is dropped entirely,
     since the erase wipes the block before the value could be stored.
     Every write, that one included, is exactly one code.encode call.
-    Inputs are drawn in blocks that double from 2n up to _SAMPLE_BLOCK,
-    so a short cycle does not sample hundreds of unused inputs; split
-    draws continue one stream, so the block sizes never change an input.
-    rng is the cycle's Generator, drawn as the cycle goes and dropped,
-    or an _InputTape of dist's blocks from it, as run_experiment's
-    sweeps pass.  The cycle ends because DistributionSpec admits only
+    Inputs are read through an _InputTape of dist's draws: rng is the
+    cycle's Generator, which a one-reader tape wraps, so its draws are
+    dropped as the cycle goes, or a tape run_experiment's sweeps pass.
+    Split draws continue one stream, so the tape's block sizes never
+    change an input.  The cycle ends because DistributionSpec admits only
     laws that draw two or more values.
     """
     params = code.params
     if len(dist.probs) != params.value_count:
         raise ValueError(f"dist has {len(dist.probs)} entries, code stores {params.value_count} values")
-    if isinstance(rng, _InputTape):
-        inputs = rng.replay()
-    else:
-        inputs = _draws(dist, rng, min(2 * params.n, _SAMPLE_BLOCK))
+    if not isinstance(rng, _InputTape):
+        rng = _InputTape(dist, rng, params.n, 1)
     state = CellState.zeros(params.n, params.q)
     encode = code.encode
     erase = ERASE_REQUIRED  # a local read is cheaper than a global one
     r_total = 0
-    for values in inputs:  # endless: only the erase ends the cycle
+    for values in rng.replay():  # endless: only the erase ends the cycle
         for x in values:
             if encode(state, x) is erase:
                 return CycleStats(state.level_sum, r_total)
@@ -261,25 +263,24 @@ def run_experiment(
     q sweep: a sequence of CodeParams of one code kind and k, which
     returns a list of one ExperimentStats per point, in order.  Any other
     difference raises ValueError.  Cycle i consumes the Philox stream
-    cycle_rng(master_seed, i), drawn from cycle_rngs, at every point.
-    A sweep reads it forward once per cycle, onto an input tape that
-    keeps at most _KEEP = 2**20 inputs, and replays it to each point; a
-    point that reads past a full tape resumes the stream from the state
-    the tape saved there.  A single point keeps nothing.  Each point
-    still runs its own run_cycle per cycle, from a fresh CellState, so
-    its stats equal a lone run at its q, and a repeat with the same
-    master seed reproduces every cycle exactly.  eta and gamma are
-    computed from incrementing writes only; same-value no-ops show up in
-    mean_r_total.
+    cycle_rng(master_seed, i), drawn from cycle_rngs, forward and once,
+    onto an input tape replayed to each point.  Every point but the last
+    keeps what it draws, up to _KEEP = 2**20 inputs, so a single point
+    keeps nothing; a point that reads past a full tape resumes the stream
+    from the state the tape saved there.  Each point still runs its own
+    run_cycle per cycle, from a fresh CellState, so its stats equal a
+    lone run at its q, and a repeat with the same master seed reproduces
+    every cycle exactly.  eta and gamma are computed from incrementing
+    writes only; same-value no-ops show up in mean_r_total.
     """
-    cycles, master_seed = read_count(cycles, "cycles", 1), read_count(master_seed, "master_seed", 0)
+    cycles, master_seed = _read_streams(cycles, "cycles", 1), read_count(master_seed, "master_seed", 0)
     points = [params] if isinstance(params, CodeParams) else list(params)
     if not points or any((p.kind, p.k) != (points[0].kind, points[0].k) for p in points):
         raise ValueError("a sweep needs one or more points of one code kind and k; only q may differ")
     codes = [make_code(p) for p in points]
     total_inc, total_all = [0] * len(points), [0] * len(points)
     for rng in cycle_rngs(master_seed, 0, cycles):
-        inputs = rng if len(points) == 1 else _InputTape(dist, rng, points[0].n)
+        inputs = _InputTape(dist, rng, points[0].n, len(points))
         for j, code in enumerate(codes):
             stats = run_cycle(code, dist, inputs)
             total_inc[j] += stats.r_inc

@@ -617,6 +617,30 @@ def test_count_flags_fail_with_the_library_message(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_stream_counts_past_the_stream_space_exit_2(tmp_path, monkeypatch, capsys):
+    "--cycles and --trials past the 2^128 streams of a seed exit 2 with cycle_rngs' message, before any work."
+    past = 2**128 + 1
+    with pytest.raises(ValueError) as error:
+        cycle_rngs(0, 0, past)
+    message = str(error.value)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a cycle or trial ran before the flags were checked")
+
+    for name in ("throw_balls", "balls_until_overflow", "run_experiment"):
+        monkeypatch.setattr(f"flashmod.cli.{name}", no_work)
+    out = str(tmp_path / "x.csv")
+    for argv in (
+        ["simulate", "--k", "2", "--q", "4", "--cycles", str(past)],
+        ["ballsbins", "--mode", "overflow", "--n", "4", "--q", "4", "--trials", str(past)],
+        ["ballsbins", "--mode", "maxload", "--n", "4", "--m", "4", "--trials", str(past)],
+    ):
+        assert run_cli(argv + ["--out", out]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f": {message}\n" in captured.err, (argv, captured.err)
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unwritable_output_is_runtime_failure(tmp_path, monkeypatch, capsys):
     missing = str(tmp_path / "no" / "dir.csv")
     simulate = ["simulate", "--k", "1", "--q", "4", "--cycles", "5", "--out"]

@@ -296,6 +296,10 @@ def test_codes_reject_mismatched_state():
         lb.candidate_cells(CellState.zeros(16, 7), 1)
     with pytest.raises(ValueError, match="state has q=7, code needs q=4"):
         lb.encode(CellState.zeros(16, 7), 1)
+    # nor the cells of a value it cannot store: 2**k would name value 0's second cell, twice
+    for value in (-1, 8):
+        with pytest.raises(ValueError, match=f"value {value} outside \\[0, 8\\)"):
+            lb.candidate_cells(CellState.zeros(16, 4), value)
     # decode refuses a state of another q as encode does, for both codes
     for other in (lb, make_code(sr_params(4, 4))):
         with pytest.raises(ValueError, match="state has q=7, code needs q=4"):

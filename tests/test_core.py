@@ -104,6 +104,11 @@ def test_state_validation():
         CellState(["1", "2"], 4)
 
 
+def test_state_repr_shows_levels_and_q():
+    assert repr(CellState([0, 3, 1], 4)) == "CellState(levels=[0, 3, 1], q=4)"
+    assert repr(CellState.zeros(2, 5)) == "CellState(levels=[0, 0], q=5)"
+
+
 @given(st.integers(1, 64), st.integers(2, 40))
 def test_zeros_equals_the_checked_constructor(n, q):
     fresh, checked = CellState.zeros(n, q), CellState([0] * n, q)
@@ -154,6 +159,9 @@ def test_params_derive_and_validate_n(monkeypatch):
         CodeParams(k=2, l=3, q=4, kind=CodeKind.SELF_RANDOMIZED)
     with pytest.raises(ValueError, match="q must be >= 2, got 1"):
         CodeParams(k=2, l=2, q=1, kind=CodeKind.SELF_RANDOMIZED)
+    for kind in ("self-randomized", None):  # the kind's value is not the kind
+        with pytest.raises(TypeError, match="kind must be a CodeKind"):
+            CodeParams(k=2, l=2, q=4, kind=kind)
     # n is capped at 2^24, the largest field the load-balancing code can use
     assert CodeParams(k=24, l=2, q=2, kind=CodeKind.SELF_RANDOMIZED).n == 1 << 24
     assert CodeParams(k=23, l=2, q=2, kind=CodeKind.LOAD_BALANCING).n == 1 << 24

@@ -360,6 +360,34 @@ def test_sweep_past_the_kept_prefix(kind, monkeypatch):
     assert sum(past) >= 6 * 2  # the q=64 points of every cycle, at least
 
 
+@pytest.mark.parametrize("kind", list(CodeKind))
+def test_the_last_reader_keeps_nothing(kind, monkeypatch):
+    """Every point but the last keeps the inputs it draws; the last, a lone run's one point included, keeps none.
+
+    An ascending sweep's last point reads furthest, so keeping its inputs would hold the longest prefix for nothing.
+    """
+    kept, read = [], []
+    lone_cycle = sim.run_cycle
+
+    def run_cycle(code, dist, rng):
+        stats = lone_cycle(code, dist, rng)
+        kept.append(sum(map(len, rng._kept)))
+        read.append(stats.r_total + 1)  # the erase write is read too
+        return stats
+
+    monkeypatch.setattr(sim, "run_cycle", run_cycle)
+    cycles, dist = 5, hot_law(4)
+    points = sweep_points(kind, 2, (2, 8, 64))
+    run_experiment(points, dist, cycles, 3)
+    for i in range(0, 3 * cycles, 3):
+        assert kept[i] >= read[i] and kept[i + 1] >= read[i + 1]  # the first two keep what they read
+        assert kept[i + 2] == kept[i + 1] < read[i + 2]  # the last reads past them and adds nothing
+    kept.clear()
+    for p in points:
+        run_experiment(p, dist, cycles, 3)
+    assert kept == [0] * 3 * cycles
+
+
 def test_sweep_refuses_mixed_points():
     "Only q may differ between the points of one sweep."
     dist = uniform(2)
