@@ -38,7 +38,7 @@ from .ballsbins import (
 )
 from .codes import make_code
 from .core import ERASE_REQUIRED, CellState, CodeKind, CodeParams, read_cells, read_count
-from .sim import DistributionSpec, _read_streams, cycle_rng, cycle_rngs, gamma_upper_bounds, run_experiment
+from .sim import DistributionSpec, _blocks, _read_streams, cycle_rng, cycle_rngs, gamma_upper_bounds, run_experiment
 
 __all__ = ["run_cli", "main", "emit_records", "SIMULATE_COLUMNS"]
 
@@ -283,16 +283,15 @@ def _roundtrip_point(params: CodeParams, writes: int, seed: int, stream: int) ->
     law, rng = DistributionSpec.uniform(params.value_count), cycle_rng(seed, stream)
     state = CellState.zeros(params.n, params.q)
     failures = done = 0
-    while done < writes:
-        # each input counts at most one write, so no block runs past writes
-        for x in law.sample_block(rng, min(writes - done, 256)).tolist():
-            if code.encode(state, x) is ERASE_REQUIRED:
-                state = CellState.zeros(params.n, params.q)  # new cycle, write not counted
-                continue
-            if code.decode(state) != x:
-                failures += 1
-            done += 1
-    return failures
+    for x in itertools.chain.from_iterable(_blocks(law, rng, params.n)):
+        if code.encode(state, x) is ERASE_REQUIRED:
+            state = CellState.zeros(params.n, params.q)  # new cycle, write not counted
+            continue
+        if code.decode(state) != x:
+            failures += 1
+        done += 1
+        if done == writes:
+            return failures
 
 
 def _cmd_roundtrip(args):

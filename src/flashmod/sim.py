@@ -9,9 +9,9 @@ efficiency gamma (bits stored per available level increment).
 Cycles are independent given their streams, so they may run in any
 order or concurrently; aggregation is a plain mean, which is order
 independent.  A run reads one stream per cycle index, forward and
-once: cycle i's inputs are drawn onto an input tape and replayed to
-every q point, a lone run being a one-point sweep; every point but the
-last keeps the inputs it draws, at most _KEEP of them.
+once, in the blocks of _blocks: cycle i's inputs are drawn onto an
+input tape and replayed to every q point in ascending q, a lone run
+being a one-point sweep; all but the last point keep what they draw.
 """
 
 import math
@@ -179,45 +179,46 @@ class ExperimentStats(NamedTuple):
     seed: int
 
 
+def _blocks(dist: DistributionSpec, rng: np.random.Generator, n: int, stop=math.inf):
+    """dist's draws on rng as lists, in blocks doubling from 2n up to _SAMPLE_BLOCK.
+
+    The one block rule of every input draw, so a short cycle samples few
+    unused inputs; blocks come while their total stays at most stop.
+    """
+    block, total = min(2 * n, _SAMPLE_BLOCK), 0
+    while total + block <= stop:
+        yield dist.sample_block(rng, block).tolist()
+        total, block = total + block, min(2 * block, _SAMPLE_BLOCK)
+
+
 class _InputTape:
     """One cycle's inputs, drawn once and replayed to each of readers.
 
-    replay yields run_cycle's blocks from the start, in lengths doubling
-    from 2n up to _SAMPLE_BLOCK, so a short cycle does not sample
-    hundreds of unused inputs.  Every reader but the last keeps the
-    blocks it draws while they total at most _KEEP inputs, so a later
-    reader draws only past the longest prefix any earlier one read.
-    When the next block would pass the cap, the tape saves rng's state
-    there, and a reader that reads past the kept prefix restores it and
-    draws on without keeping.  Split draws continue one stream, so every
-    reader reads the inputs a lone run_cycle on the stream would.
+    The tape holds one _blocks prefix of rng, capped at _KEEP inputs.
+    A reader replays the kept blocks, then pulls the prefix on, keeping
+    what it pulls unless it is the last, so a later reader draws only
+    past the longest prefix any earlier one read.  The first reader to
+    run the prefix out saves rng's state there; every reader past the cap
+    restores it and draws on through _blocks, keeping nothing.  Split
+    draws continue one stream, so each reads what a lone run_cycle would.
     """
 
-    __slots__ = ("_dist", "_rng", "_readers", "_kept", "_count", "_block", "_resume")
+    __slots__ = ("_dist", "_rng", "_n", "_readers", "_kept", "_prefix", "_resume")
 
     def __init__(self, dist: DistributionSpec, rng: np.random.Generator, n: int, readers: int):
-        self._dist, self._rng, self._resume = dist, rng, None  # rng's state past a full tape
-        self._readers = readers  # replays yet to start
-        self._kept, self._count = [], 0  # the kept blocks and their total length
-        self._block = min(2 * n, _SAMPLE_BLOCK)  # the length of the next block
+        self._dist, self._rng, self._n, self._readers = dist, rng, n, readers  # _readers: replays yet to start
+        self._kept, self._prefix, self._resume = [], _blocks(dist, rng, n, _KEEP), None  # _resume: rng's state at the cap
 
     def replay(self):
         self._readers -= 1
         yield from self._kept
-        dist, rng, block = self._dist, self._rng, self._block
-        if self._resume:  # a copy of counter, buffer and half-used uint32, restored mid-cycle:
-            rng.bit_generator.state = self._resume  # safe, as cycle_rngs' next index resets rng
-        elif self._readers:
-            while self._count + block <= _KEEP:
-                values = dist.sample_block(rng, block).tolist()
+        for values in self._prefix:  # not yield from: a reader that stops leaves the prefix open
+            if self._readers:
                 self._kept.append(values)
-                self._count += block
-                self._block = block = min(2 * block, _SAMPLE_BLOCK)
-                yield values
-            self._resume = rng.bit_generator.state
-        while True:
-            yield dist.sample_block(rng, block).tolist()
-            block = min(2 * block, _SAMPLE_BLOCK)
+            yield values
+        self._resume = self._resume or self._rng.bit_generator.state  # counter, buffer and half-used uint32
+        self._rng.bit_generator.state = self._resume  # restored mid-cycle: safe, as cycle_rngs' next index resets rng
+        yield from _blocks(self._dist, self._rng, self._n)
 
 
 def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator | _InputTape) -> CycleStats:
@@ -228,23 +229,20 @@ def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator | _InputTap
     r_total.  The write that triggers ERASE_REQUIRED is dropped entirely,
     since the erase wipes the block before the value could be stored.
     Every write, that one included, is exactly one code.encode call.
-    Inputs are read through an _InputTape of dist's draws: rng is the
-    cycle's Generator, which a one-reader tape wraps, so its draws are
-    dropped as the cycle goes, or a tape run_experiment's sweeps pass.
-    Split draws continue one stream, so the tape's block sizes never
-    change an input.  The cycle ends because DistributionSpec admits only
+    rng is the cycle's Generator, read through _blocks and dropped as the
+    cycle goes, or the _InputTape run_experiment passes; both read the
+    same inputs.  The cycle ends because DistributionSpec admits only
     laws that draw two or more values.
     """
     params = code.params
     if len(dist.probs) != params.value_count:
         raise ValueError(f"dist has {len(dist.probs)} entries, code stores {params.value_count} values")
-    if not isinstance(rng, _InputTape):
-        rng = _InputTape(dist, rng, params.n, 1)
+    blocks = rng.replay() if isinstance(rng, _InputTape) else _blocks(dist, rng, params.n)
     state = CellState.zeros(params.n, params.q)
     encode = code.encode
     erase = ERASE_REQUIRED  # a local read is cheaper than a global one
     r_total = 0
-    for values in rng.replay():  # endless: only the erase ends the cycle
+    for values in blocks:  # endless: only the erase ends the cycle
         for x in values:
             if encode(state, x) is erase:
                 return CycleStats(state.level_sum, r_total)
@@ -264,13 +262,14 @@ def run_experiment(
     returns a list of one ExperimentStats per point, in order.  Any other
     difference raises ValueError.  Cycle i consumes the Philox stream
     cycle_rng(master_seed, i), drawn from cycle_rngs, forward and once,
-    onto an input tape replayed to each point.  Every point but the last
-    keeps what it draws, up to _KEEP = 2**20 inputs, so a single point
-    keeps nothing; a point that reads past a full tape resumes the stream
-    from the state the tape saved there.  Each point still runs its own
-    run_cycle per cycle, from a fresh CellState, so its stats equal a
-    lone run at its q, and a repeat with the same master seed reproduces
-    every cycle exactly.  eta and gamma are computed from incrementing
+    onto an input tape replayed to each point in ascending q, repeats in
+    their order.  Encoding reads q only at a full cell, so a larger q
+    reads every input a smaller one reads: the last point keeps nothing,
+    the others what they draw, up to _KEEP = 2**20 inputs, and a point
+    past a full tape resumes the stream from the state saved there.  Each
+    point runs its own run_cycle per cycle, from a fresh CellState, so
+    its stats equal a lone run at its q, and a repeat with the same seed
+    reproduces every cycle.  eta and gamma are computed from incrementing
     writes only; same-value no-ops show up in mean_r_total.
     """
     cycles, master_seed = _read_streams(cycles, "cycles", 1), read_count(master_seed, "master_seed", 0)
@@ -279,10 +278,11 @@ def run_experiment(
         raise ValueError("a sweep needs one or more points of one code kind and k; only q may differ")
     codes = [make_code(p) for p in points]
     total_inc, total_all = [0] * len(points), [0] * len(points)
+    ascending = sorted(range(len(points)), key=lambda j: points[j].q)  # stable: repeats keep their order
     for rng in cycle_rngs(master_seed, 0, cycles):
         inputs = _InputTape(dist, rng, points[0].n, len(points))
-        for j, code in enumerate(codes):
-            stats = run_cycle(code, dist, inputs)
+        for j in ascending:
+            stats = run_cycle(codes[j], dist, inputs)
             total_inc[j] += stats.r_inc
             total_all[j] += stats.r_total
     sweep = []

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 import flashmod
 from flashmod.ballsbins import balls_until_overflow, throw_balls
 from flashmod.cli import SIMULATE_COLUMNS, _emit, build_parser, emit_records, run_cli
-from flashmod.codes import LoadBalancingCode, SelfRandomizedCode
-from flashmod.core import CellState, CodeKind, CodeParams
-from flashmod.sim import DistributionSpec, cycle_rngs, run_experiment
+from flashmod.codes import LoadBalancingCode, SelfRandomizedCode, make_code
+from flashmod.core import ERASE_REQUIRED, CellState, CodeKind, CodeParams
+from flashmod.sim import DistributionSpec, cycle_rng, cycle_rngs, run_experiment
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(flashmod.__file__).resolve().parent.parent
@@ -517,6 +517,41 @@ def test_roundtrip_command(capsys, monkeypatch):
         out = capsys.readouterr().out
         assert "failures=50" in out, name
         assert "[FAIL]" in out, name
+
+
+def test_roundtrip_writes_the_stream_in_order(capsys, monkeypatch):
+    "Point i encodes the first draws of the uniform law on stream i of the seed, in order, and decode-checks --writes of them."
+
+    class Recording:
+        def __init__(self, code):
+            self.code, self.params, self.inputs, self.written, self.decodes = code, code.params, [], 0, 0
+
+        def encode(self, state, x):
+            self.inputs.append(x)
+            out = self.code.encode(state, x)
+            self.written += out is not ERASE_REQUIRED
+            return out
+
+        def decode(self, state):
+            self.decodes += 1
+            return self.code.decode(state)
+
+    made = []
+
+    def recording_make_code(params):
+        made.append(Recording(make_code(params)))
+        return made[-1]
+
+    monkeypatch.setattr("flashmod.cli.make_code", recording_make_code)
+    writes = 700  # past one 512-input block, across many erases at q = 2
+    assert run_cli(f"roundtrip --code both --k 1,3 --q 2,8 --writes {writes} --seed 5".split()) == 0
+    assert "[PASS]" in capsys.readouterr().out
+    assert len(made) == 8
+    for stream, code in enumerate(made):
+        law = DistributionSpec.uniform(code.params.value_count)
+        assert code.inputs == law.sample_block(cycle_rng(5, stream), len(code.inputs)).tolist(), stream
+        assert code.written == code.decodes == writes, stream
+    assert all(len(code.inputs) > writes for code in made if code.params.q == 2)  # erasing writes are not counted
 
 
 def test_roundtrip_configuration_errors_print_nothing(capsys):

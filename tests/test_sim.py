@@ -364,7 +364,8 @@ def test_sweep_past_the_kept_prefix(kind, monkeypatch):
 def test_the_last_reader_keeps_nothing(kind, monkeypatch):
     """Every point but the last keeps the inputs it draws; the last, a lone run's one point included, keeps none.
 
-    An ascending sweep's last point reads furthest, so keeping its inputs would hold the longest prefix for nothing.
+    Points run in ascending q, so the last reads furthest, and keeping its inputs would hold the longest prefix for
+    nothing; a descending or shuffled sweep keeps, call for call, what the ascending one keeps.
     """
     kept, read = [], []
     lone_cycle = sim.run_cycle
@@ -382,10 +383,33 @@ def test_the_last_reader_keeps_nothing(kind, monkeypatch):
     for i in range(0, 3 * cycles, 3):
         assert kept[i] >= read[i] and kept[i + 1] >= read[i + 1]  # the first two keep what they read
         assert kept[i + 2] == kept[i + 1] < read[i + 2]  # the last reads past them and adds nothing
+    ascending = list(kept)
+    for qs in ((64, 8, 2), (8, 64, 2)):
+        kept.clear()
+        run_experiment(sweep_points(kind, 2, qs), dist, cycles, 3)
+        assert kept == ascending, qs
     kept.clear()
     for p in points:
         run_experiment(p, dist, cycles, 3)
     assert kept == [0] * 3 * cycles
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(CodeKind)),
+    k=st.integers(1, 5),
+    qs=st.lists(st.integers(2, 32), min_size=2, max_size=2, unique=True).map(sorted),
+    hot=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    index=st.integers(0, 1000),
+)
+@example(kind=CodeKind.LOAD_BALANCING, k=1, qs=[2, 3], hot=True, seed=0, index=0)
+@example(kind=CodeKind.SELF_RANDOMIZED, k=5, qs=[31, 32], hot=False, seed=1, index=1)
+def test_reads_grow_with_q(kind, k, qs, hot, seed, index):
+    "On one stream a cycle at a larger q reads every input a smaller q reads: what lets a sweep run in ascending q."
+    dist = hot_law(2**k) if hot else uniform(k)
+    low, high = (run_cycle(make_code(p), dist, cycle_rng(seed, index)) for p in sweep_points(kind, k, qs))
+    assert low.r_inc <= high.r_inc and low.r_total <= high.r_total
 
 
 def test_sweep_refuses_mixed_points():
