@@ -93,9 +93,13 @@ class LoadBalancingCode:
 
     Write count r uses the map v -> a_r*v + b_r with a_r = r mod (2**k - 1)
     + 1, never 0, and b_r = r mod 2**k.  A state with level sum r and
-    index-weighted sum w (mod n) stores a_r^-1 * (w + b_r) mod 2**k; the
-    candidates of write r for value x are a_r*x + b_r - w and
-    a_r*(x + 2**k) + b_r - w (mod n).
+    index-weighted sum w (mod n) stores a_r^-1 * (w + b_r) mod 2**k.
+    Write r of value x forms u = a_r*x + b_r in GF(n), whose + is XOR,
+    and has the candidates (u - w) mod n and ((u ^ a_r*2**k) - w) mod n:
+    products distribute over XOR, so the image of x's other copy,
+    a_r*(x ^ 2**k) + b_r, is u ^ a_r*2**k.  The pairs of the 2**k values
+    therefore split the n cells into a perfect matching fixed by
+    (a_r, b_r, w).
     """
 
     def __init__(self, params: CodeParams):
@@ -126,14 +130,16 @@ class LoadBalancingCode:
         r = state.level_sum + 1
         a, b = r % (values - 1) + 1, r % values
         raw = state.weighted_level_sum % n
-        return [((gf_mul(self.field, a, v) ^ b) - raw) % n for v in (value, value | values)]
+        u, t = gf_mul(self.field, a, value) ^ b, gf_mul(self.field, a, values)
+        return [(u - raw) % n, ((u ^ t) - raw) % n]
 
     def encode(self, state: CellState, value: int) -> WriteKind:
         """Store value on the less charged of its two candidate cells.
 
         The stored value comes from the memo (_stored on a miss) and the
-        candidates from the field tables; test_codes checks all three
-        methods against one reference.
+        candidates from the field tables: one product u, then u's XOR
+        partner; test_codes checks all three methods against one
+        reference.
         """
         values = self._values
         if not 0 <= value < values:
@@ -144,16 +150,18 @@ class LoadBalancingCode:
             _check_fit(state, self.params)
             last = self._last = (state, r, self._stored(state))
             # read with the field _stored just used, so a cycle sees one field
-            self._tables = self.field.exp, self.field.log
+            self._tables = self.field.exp, self.field.log, self.params.k
         if last[2] == value:
             return NOOP
-        exp, log = self._tables
+        exp, log, k = self._tables
         w, n = state.weighted_level_sum, self._n
         r += 1
         la = log[r % (values - 1) + 1]
         b = r % values
-        first = (((exp[la + log[value]] if value else 0) ^ b) - w) % n
-        second = ((exp[la + log[value | values]] ^ b) - w) % n
+        u = exp[la + log[value]] ^ b if value else b
+        first = (u - w) % n
+        # log[2**k] = k, so exp[la + k] = a*2**k, and u ^ a*2**k is the image of value | 2**k
+        second = ((u ^ exp[la + k]) - w) % n
         levels = state.levels
         # ties go to the first candidate, which keeps runs reproducible
         out = cell_increment(state, second if levels[second] < levels[first] else first)

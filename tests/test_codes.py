@@ -123,12 +123,20 @@ class TestLoadBalancing:
         assert code.encode(state, 0) is NOOP
 
     def test_candidates_are_always_distinct(self):
+        # at every write the pairs of all 2**k values partition the cells,
+        # and a pair's images (cell + w) mod n differ by XOR with a*2**k:
+        # a perfect matching of the cells, fixed by (a, b, w)
         code = make_code(lb_params(2, 16))
         rng = np.random.default_rng(3)
         state = CellState.zeros(8, 16)
         for x in rng.integers(0, 4, size=400).tolist():
             cells = code.candidate_cells(state, x)
             assert len(set(cells)) == 2
+            pairs = [code.candidate_cells(state, v) for v in range(4)]
+            assert sorted(c for pair in pairs for c in pair) == list(range(8))
+            w, a = state.weighted_level_sum, (state.level_sum + 1) % 3 + 1
+            for c0, c1 in pairs:
+                assert ((c0 + w) % 8) ^ ((c1 + w) % 8) == gf_mul(code.field, a, 4)
             code.encode(state, x)
 
 
