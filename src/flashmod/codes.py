@@ -10,13 +10,14 @@ value) of its last write, so a cycle works out its stored value once, on
 its first write, and a same-value write costs one comparison.  That is
 sound because cell_increment, the only way a CellState's sums change,
 adds exactly one to the level sum.  An erase forgets the state (no
-finished cycle is kept alive); threads sharing a code only miss.  A miss
-checks the state's q and cell count and computes the value with the
-private _stored that decode wraps, never through decode itself: a decode
-replaced from outside (a tracer, a deliberately broken decoder) leaves
-what encode writes unchanged, so a round trip still tests it.  A hit is
-the same object, already checked.  The value's range is checked on
-every write.
+finished cycle is kept alive).  The memo is one tuple, read in one
+unpack and written in one store, so threads sharing a code only miss.
+A miss checks the state's q and cell count and computes the value with
+the private _stored that decode wraps, never through decode itself: a
+decode replaced from outside (a tracer, a deliberately broken decoder)
+leaves what encode writes unchanged, so a round trip still tests it.  A
+hit is the same object, already checked.  The value's range is checked
+on every write.
 """
 
 from .core import ERASE_REQUIRED, NOOP, CellState, CodeKind, CodeParams, WriteKind, cell_increment
@@ -68,11 +69,11 @@ class SelfRandomizedCode:
         if not 0 <= value < mod:
             raise ValueError(f"value {value} outside [0, {mod})")
         r = state.level_sum
-        last = self._last
-        if last[0] is not state or last[1] != r:
+        held, at, current = self._last
+        if held is not state or at != r:
             _check_fit(state, self.params)
-            last = self._last = (state, r, self._stored(state))
-        current = last[2]
+            current = self._stored(state)
+            self._last = (state, r, current)
         if current == value:
             return NOOP
         # the cell (value - current) + r + 1 moves both sums onto value
@@ -145,13 +146,14 @@ class LoadBalancingCode:
         if not 0 <= value < values:
             raise ValueError(f"value {value} outside [0, {values})")
         r = state.level_sum
-        last = self._last
-        if last[0] is not state or last[1] != r:
+        held, at, current = self._last
+        if held is not state or at != r:
             _check_fit(state, self.params)
-            last = self._last = (state, r, self._stored(state))
+            current = self._stored(state)
+            self._last = (state, r, current)
             # read with the field _stored just used, so a cycle sees one field
             self._tables = self.field.exp, self.field.log, self.params.k
-        if last[2] == value:
+        if current == value:
             return NOOP
         exp, log, k = self._tables
         w, n = state.weighted_level_sum, self._n

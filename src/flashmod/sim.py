@@ -17,7 +17,7 @@ being a one-point sweep; all but the last point keep what they draw.
 import math
 import sys
 from collections.abc import Sequence
-from operator import index
+from operator import index, length_hint
 from typing import NamedTuple
 
 import numpy as np
@@ -227,8 +227,10 @@ def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator | _InputTap
     Writes that increment a cell count toward r_inc, which is therefore
     the level sum at the erase; same-value no-ops count only toward
     r_total.  The write that triggers ERASE_REQUIRED is dropped entirely,
-    since the erase wipes the block before the value could be stored.
-    Every write, that one included, is exactly one code.encode call.
+    since the erase wipes the block before the value could be stored, so
+    r_total is that write's position in the cycle, read once from its
+    block's iterator: the loop counts no write.  Every write, that one
+    included, is exactly one code.encode call.
     rng is the cycle's Generator, read through _blocks and dropped as the
     cycle goes, or the _InputTape run_experiment passes; both read the
     same inputs.  The cycle ends because DistributionSpec admits only
@@ -241,12 +243,14 @@ def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator | _InputTap
     state = CellState.zeros(params.n, params.q)
     encode = code.encode
     erase = ERASE_REQUIRED  # a local read is cheaper than a global one
-    r_total = 0
+    done = 0  # inputs in the finished blocks
     for values in blocks:  # endless: only the erase ends the cycle
-        for x in values:
+        left = iter(values)
+        for x in left:
             if encode(state, x) is erase:
-                return CycleStats(state.level_sum, r_total)
-            r_total += 1
+                # a list iterator's length hint is exact: what is left after x
+                return CycleStats(state.level_sum, done + len(values) - 1 - length_hint(left))
+        done += len(values)
 
 
 def run_experiment(

@@ -9,7 +9,7 @@ from test_codes import reference_lb_encode, reference_sr_encode
 
 import flashmod.sim as sim
 from flashmod.codes import make_code
-from flashmod.core import ERASE_REQUIRED, WRITTEN, CellState, CodeKind, CodeParams
+from flashmod.core import ERASE_REQUIRED, NOOP, WRITTEN, CellState, CodeKind, CodeParams
 from flashmod.field import FieldSpec
 from flashmod.sim import (
     DistributionSpec,
@@ -258,6 +258,41 @@ def test_run_cycle_matches_reference_loop(kind, k, q, hot, seed, index):
     dist = hot_law(params.value_count) if hot else uniform(k)
     stats = run_cycle(make_code(params), dist, cycle_rng(seed, index))
     assert (stats.r_inc, stats.r_total) == reference_run_cycle(params, dist, cycle_rng(seed, index))
+
+
+class EraseAt:
+    """A code that no-ops every write but write t, which asks for the erase."""
+
+    def __init__(self, params, t):
+        self.params, self._t, self.calls = params, t, 0
+
+    def encode(self, state, value):
+        self.calls += 1
+        return ERASE_REQUIRED if self.calls - 1 == self._t else NOOP
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_run_cycle_counts_to_the_erase_at_every_block_edge(k):
+    "r_total is the erase write's position, at block edges and on both sides of the first full block."
+    params = CodeParams(k=k, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED)
+    dist = uniform(k)
+    starts, block, start = [], 2 * params.n, 0  # blocks 2n, 4n, ... up to sim._SAMPLE_BLOCK
+    while block < sim._SAMPLE_BLOCK:
+        starts.append(start)
+        start, block = start + block, 2 * block
+    full = start  # the first 512-input block covers full .. full + 511
+    edges = {0, 1, full - 1, full, full + sim._SAMPLE_BLOCK - 1, full + sim._SAMPLE_BLOCK}
+    for first, after in itertools.pairwise(starts[:4]):
+        edges |= {first, after - 1}
+    for t in sorted(edges):
+        code = EraseAt(params, t)
+        assert run_cycle(code, dist, cycle_rng(3, t)) == (0, t)
+        assert code.calls == t + 1
+        tape = sim._InputTape(dist, cycle_rng(3, t), params.n, 2)
+        for _ in range(2):
+            code = EraseAt(params, t)
+            assert run_cycle(code, dist, tape) == (0, t)
+            assert code.calls == t + 1
 
 
 class TestRunExperiment:
