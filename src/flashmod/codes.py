@@ -17,7 +17,9 @@ the private _stored that decode wraps, never through decode itself: a
 decode replaced from outside (a tracer, a deliberately broken decoder)
 leaves what encode writes unchanged, so a round trip still tests it.  A
 hit is the same object, already checked.  The value's range is checked
-on every write.
+on every write that raises a cell or hits an erase, before the state is
+touched; a same-value write is in range by construction, as the value it
+equals is one the state stores.
 """
 
 from .core import ERASE_REQUIRED, NOOP, CellState, CodeKind, CodeParams, WriteKind, cell_increment
@@ -65,9 +67,6 @@ class SelfRandomizedCode:
 
     def encode(self, state: CellState, value: int) -> WriteKind:
         """Store value, incrementing at most one cell."""
-        mod = self._mod
-        if not 0 <= value < mod:
-            raise ValueError(f"value {value} outside [0, {mod})")
         r = state.level_sum
         held, at, current = self._last
         if held is not state or at != r:
@@ -76,6 +75,9 @@ class SelfRandomizedCode:
             self._last = (state, r, current)
         if current == value:
             return NOOP
+        mod = self._mod
+        if not 0 <= value < mod:
+            raise ValueError(f"value {value} outside [0, {mod})")
         # the cell (value - current) + r + 1 moves both sums onto value
         out = cell_increment(state, (value - current + r + 1) % mod)
         self._last = _FORGOTTEN if out is ERASE_REQUIRED else (state, r + 1, value)
@@ -142,9 +144,6 @@ class LoadBalancingCode:
         partner; test_codes checks all three methods against one
         reference.
         """
-        values = self._values
-        if not 0 <= value < values:
-            raise ValueError(f"value {value} outside [0, {values})")
         r = state.level_sum
         held, at, current = self._last
         if held is not state or at != r:
@@ -155,6 +154,9 @@ class LoadBalancingCode:
             self._tables = self.field.exp, self.field.log, self.params.k
         if current == value:
             return NOOP
+        values = self._values
+        if not 0 <= value < values:
+            raise ValueError(f"value {value} outside [0, {values})")
         exp, log, k = self._tables
         w, n = state.weighted_level_sum, self._n
         r += 1

@@ -44,11 +44,11 @@ def read_count(value, name: str, low: int) -> int:
     return value
 
 
-def read_cells(n) -> int:
+def read_cells(n, name: str = "n") -> int:
     """n as a cell (or bin) count in [1, 2^MAX_LOG2_N], read before anything is allocated."""
     n = index(n)
     if not 1 <= n <= 1 << MAX_LOG2_N:
-        raise ValueError(f"n must be in [1, 2^{MAX_LOG2_N}], got {n}")
+        raise ValueError(f"{name} must be in [1, 2^{MAX_LOG2_N}], got {n}")
     return n
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import make_code
-from .core import ERASE_REQUIRED, CellState, CodeParams, read_count
+from .core import ERASE_REQUIRED, CellState, CodeParams, read_cells, read_count
 
 __all__ = [
     "DistributionSpec",
@@ -59,13 +59,18 @@ class DistributionSpec:
     equal buckets, B the power of two at or above 16 per law value and at
     most 2**20 (8 MB).  A draw u falls in bucket j = floor(u*B), so
     j/B <= u < (j+1)/B, and its value, the count of CDF steps at or below
-    u, lies between the counts at or below j/B and below (j+1)/B.  The
-    table holds that value where the two are equal; only draws in the
-    other buckets, which a CDF step crosses, are searched.  B is a power
-    of two, so u*B and j/B are exact and every draw equals the search's.
+    u, is the count at or below j/B plus the steps inside the bucket that
+    u reaches.  A bucket with no step strictly inside holds that count.
+    One with exactly one, at c, also holds c in a second table, of 2.0
+    elsewhere (no draw reaches it), and its draws take the count plus
+    u >= c; that table is kept only when some bucket needs it, at most
+    8 MB more.  Only draws in buckets with two or more steps inside (the
+    coincident steps of a zero mass count apart) are searched.  B is a
+    power of two, so u*B and j/B are exact and every draw equals the
+    search's.
     """
 
-    __slots__ = ("probs", "entropy_bits", "_cum", "_buckets", "_guide", "_split")
+    __slots__ = ("probs", "entropy_bits", "_cum", "_buckets", "_guide", "_step", "_split")
 
     TOLERANCE = 1e-9
 
@@ -94,20 +99,29 @@ class DistributionSpec:
         buckets = min(_GUIDE_MAX, 1 << (_GUIDE_PER_VALUE * p.size - 1).bit_length())
         edges = np.arange(buckets + 1) / buckets
         guide = cum.searchsorted(edges[:-1], side="right")
-        split = guide != cum.searchsorted(edges[1:], side="left")
-        guide[split] = -1  # a CDF step falls inside the bucket: search its draws
-        self._buckets, self._guide, self._split = buckets, guide, bool(split.any())
+        inside = cum.searchsorted(edges[1:], side="left") - guide  # CDF steps strictly inside each bucket
+        one = inside == 1
+        step = None
+        if one.any():
+            step = np.full(buckets, 2.0)
+            step[one] = cum[guide[one]]  # the bucket's one step: the first above its lower edge
+        split = inside > 1
+        guide[split] = -1  # two or more steps inside the bucket: search its draws
+        self._buckets, self._guide, self._step, self._split = buckets, guide, step, bool(split.any())
 
     @classmethod
     def uniform(cls, size: int) -> "DistributionSpec":
-        size = read_count(size, "size", 1)
+        size = read_cells(read_count(size, "size", 1), "size")  # no law a code stores is larger
         return cls(np.full(size, 1.0 / size))
 
     def sample_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count i.i.d. draws as an intp array, one rng.random(count) call."""
         u = rng.random(count)
-        out = self._guide.take((u * self._buckets).astype(np.intp))
-        # a law with no crossed bucket (a uniform one over 2**k values) never searches
+        j = (u * self._buckets).astype(np.intp)
+        out = self._guide.take(j)
+        # a law with no one-step bucket (a uniform one over 2**k values) compares nothing
+        if self._step is not None:
+            out += u >= self._step.take(j)
         if self._split:
             split = np.flatnonzero(out < 0)
             out[split] = self._cum.searchsorted(u[split], side="right")

@@ -283,6 +283,57 @@ def test_encode_rejects_out_of_range_values():
         lb.encode(CellState.zeros(4, 4), -1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(CodeKind)),
+    k=st.integers(1, 4),
+    q=st.integers(2, 4),
+    seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    # ("in", x) writes x mod 2**k; ("out", o) writes -2, -1, 2**k or 2**k + 1
+    writes=st.lists(
+        st.one_of(
+            st.tuples(st.just("in"), st.integers(0, 15)),
+            st.tuples(st.just("out"), st.sampled_from([-2, -1, 0, 1])),
+        ),
+        max_size=80,
+    ),
+)
+# a refused first write on a fresh state, then refused writes the memo answers for
+@example(kind=CodeKind.SELF_RANDOMIZED, k=2, q=2, seed=None, writes=[("out", -1), ("in", 1), ("out", 0), ("in", 1), ("out", 1)])
+@example(kind=CodeKind.LOAD_BALANCING, k=2, q=2, seed=None, writes=[("out", -2), ("in", 3), ("out", 0), ("in", 3), ("out", -1)])
+def test_out_of_range_writes_change_nothing(kind, k, q, seed, writes):
+    """A write of a value outside [0, 2**k) raises ValueError and leaves no trace.
+
+    Its state keeps its levels and both sums, and every later outcome
+    equals that of the same sequence without it, on a fresh state and on
+    one the memo holds.  encode tests a same-value write before the
+    range, so a refused write may fill the memo, but never wrongly.
+    """
+    params = CodeParams(k=k, l=2, q=q, kind=kind)
+    values = params.value_count
+    code, clean = make_code(params), make_code(params)  # clean never sees an out-of-range value
+    levels = [0] * params.n if seed is None else np.random.default_rng(seed).integers(0, q, size=params.n).tolist()
+    state, clean_state = CellState(levels, q), CellState(levels, q)
+    for where, x in writes:
+        if where == "out":
+            value = x if x < 0 else values + x
+            before = (list(state.levels), state.level_sum, state.weighted_level_sum)
+            with pytest.raises(ValueError, match="outside"):
+                code.encode(state, value)
+            assert (state.levels, state.level_sum, state.weighted_level_sum) == before
+            continue
+        x %= values
+        out = code.encode(state, x)
+        assert out is clean.encode(clean_state, x)
+        assert (state.levels, state.level_sum, state.weighted_level_sum) == (
+            clean_state.levels,
+            clean_state.level_sum,
+            clean_state.weighted_level_sum,
+        )
+        if out is ERASE_REQUIRED:
+            state, clean_state = CellState.zeros(params.n, q), CellState.zeros(params.n, q)
+
+
 def test_codes_reject_mismatched_state():
     code = make_code(sr_params(2, 4))
     with pytest.raises(ValueError):

@@ -44,6 +44,17 @@ class TestDistributionSpec:
             with pytest.raises(ValueError, match="finite"):
                 DistributionSpec([0.5, bad, 0.5, 0.0])
 
+    def test_uniform_size_is_read_before_allocating(self, monkeypatch):
+        "No law a code stores has more than 2**24 values, so a larger size allocates nothing."
+
+        def no_full(*args, **kwargs):
+            raise AssertionError("np.full called")
+
+        monkeypatch.setattr(np, "full", no_full)
+        for size in (2**24 + 1, 2**64):
+            with pytest.raises(ValueError, match=rf"size must be in \[1, 2\^24\], got {size}"):
+                DistributionSpec.uniform(size)
+
     def test_probs_is_a_read_only_copy(self):
         caller = np.array([0.5, 0.5, 0.0, 0.0])
         dist = DistributionSpec(caller)
@@ -143,19 +154,46 @@ class TestSampling:
     @example(law=[0.25, 0.0, 0.25, 0.0, 0.5, 0.0, 0.0], seed=1)
     @example(law=[1e-11] * 8 + [0.5 - 4e-11, 0.5 - 4e-11], seed=2)
     @example(law=[0.125] * 8, seed=3)
+    @example(law=[0.7] + [0.3 / 1022] * 1022 + [0.0], seed=4)
+    @example(law=[0.95] + [0.05 / 1022] * 1022 + [0.0], seed=5)
+    @example(law=[0.3, 0.0, 0.7], seed=6)
     def test_guide_table_equals_the_search(self, law, seed):
         "Every draw equals the inverse-CDF binary search, at each CDF step and just below it."
         dist = DistributionSpec(law)
         below_one = dist._cum[dist._cum < 1.0]
-        # only a bucket with a CDF step strictly inside it is searched; a step on
-        # a bucket edge (every step of a uniform law over 2**k values) crosses none
+        # a step on a bucket edge (every step of a uniform law over 2**k values)
+        # is inside none; a bucket with one step inside compares its draws with
+        # it, one with two or more (a zero mass's two coincident steps count
+        # apart) is searched
         scaled = below_one * dist._buckets
-        crossed = set(scaled[scaled % 1 != 0].astype(int).tolist())
-        assert set(np.flatnonzero(dist._guide < 0).tolist()) == crossed
-        assert dist._split == bool(crossed)
+        inside = scaled % 1 != 0
+        at = scaled[inside].astype(int)  # the bucket of each step strictly inside one
+        buckets, steps = np.unique(at, return_counts=True)
+        step_in = dict(zip(at.tolist(), below_one[inside].tolist()))
+        threshold = {j: step_in[j] for j in buckets[steps == 1].tolist()}
+        assert set(np.flatnonzero(dist._guide < 0).tolist()) == set(buckets[steps > 1].tolist())
+        assert dist._split == bool((steps > 1).any())
+        assert (dist._step is not None) == bool(threshold)
+        if threshold:
+            marked = np.flatnonzero(dist._step < 2.0)
+            assert dict(zip(marked.tolist(), dist._step[marked].tolist())) == threshold
         keys = np.concatenate(([0.0], below_one, np.nextafter(below_one, 0.0), [np.nextafter(1.0, 0.0)]))
         assert_draws_are_searched(dist, KeyRng(keys), keys)
         assert_draws_are_searched(dist, cycle_rng(seed, 0), cycle_rng(seed, 0).random(2000))
+
+    @pytest.mark.parametrize(
+        "law, threshold, searched",
+        [
+            ([0.7] + [0.3 / 1022] * 1022 + [0.0], True, False),  # the benchmark's hot law: no search
+            ([0.95] + [0.05 / 1022] * 1022 + [0.0], True, True),  # steps 4.9e-5 apart in buckets 6.1e-5 wide
+            ([0.3, 0.0, 0.7], False, True),  # both steps at 0.3 fall inside bucket 19 of 64
+            ([1 / 1024] * 1024, False, False),  # every step on a bucket edge
+        ],
+    )
+    def test_guide_table_paths(self, law, threshold, searched):
+        "Which of the two exact paths a law's draws take: a compare with a bucket's one step, or the search."
+        dist = DistributionSpec(law)
+        assert (dist._step is not None, dist._split) == (threshold, searched)
 
     def test_guide_table_is_capped(self):
         "A law of more than 2**16 values fills the capped table and still draws as the search does."
@@ -177,8 +215,8 @@ class TestSampling:
     @example(a=511, b=1024, seed=1)
     def test_split_draws_continue_one_stream(self, a, b, seed):
         "Draws of a then b equal draws of a + b: what lets run_cycle's blocks and a replayed tape agree."
-        dist = hot_law(16)
-        assert dist._split  # crossed buckets: the searched path is exercised too
+        dist = DistributionSpec([0.95] + [0.05 / 14] * 14 + [0.0])  # steps 0.0036 apart, buckets 0.0039 wide
+        assert dist._step is not None and dist._split  # both the compare and the search run
         split = cycle_rng(seed, 0)
         parts = np.concatenate((dist.sample_block(split, a), dist.sample_block(split, b)))
         assert parts.tolist() == dist.sample_block(cycle_rng(seed, 0), a + b).tolist()
