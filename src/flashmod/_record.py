@@ -10,11 +10,9 @@ __all__ = ["Record"]
 class Record:
     """A value equal, hashed and shown by the fields named in _fields.
 
-    A subclass validates its arguments in __init__ and stores them
-    through object.__setattr__, as _set does for every field in order;
-    any other assignment or deletion of an attribute raises
-    AttributeError.  A subclass without __slots__ keeps a __dict__, so a
-    cached_property (which writes there directly) still works on it.
+    A subclass validates its arguments in __init__ and stores them with
+    _set, field by field in order through object.__setattr__; any other
+    assignment or deletion of an attribute raises AttributeError.
     """
 
     __slots__ = ()

@@ -133,20 +133,28 @@ def _commas(item, names: str | None = None):
 
 def _load_dist(spec: str | None, size: int) -> DistributionSpec:
     """Input law from a file (probabilities one per line or comma-separated,
-    '#' comments), an inline comma list, or the uniform default."""
+    '#' comments), an inline comma list, or the uniform default.  A file is
+    read only up to the law's size: the first entry past it raises."""
     if spec is None:
         return DistributionSpec.uniform(size)
     if os.path.isfile(spec):
         with open(spec, "r", encoding="utf-8") as fh:
-            spec_text = ",".join(line.split("#", 1)[0] for line in fh)
-    elif "," in spec:
-        spec_text = spec
-    else:
-        raise ValueError(f"distribution {spec!r} is neither a readable file nor an inline comma list")
-    try:
-        probs = [float(part) for part in spec_text.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"distribution {spec!r} contains a non-numeric entry") from None
+            return _read_law(spec, (line.split("#", 1)[0] for line in fh), size)
+    if "," in spec:
+        return _read_law(spec, [spec], size)
+    raise ValueError(f"distribution {spec!r} is neither a readable file nor an inline comma list")
+
+
+def _read_law(spec: str, texts, size: int) -> DistributionSpec:
+    """The law in the comma lists of texts, read one entry at a time and refused at the first past size."""
+    probs = []
+    for part in (part for text in texts for part in text.split(",") if part.strip()):
+        if len(probs) == size:
+            raise ValueError(f"distribution has more than {size} entries, need {size}")
+        try:
+            probs.append(float(part))
+        except ValueError:
+            raise ValueError(f"distribution {spec!r} contains a non-numeric entry") from None
     if len(probs) != size:
         raise ValueError(f"distribution has {len(probs)} entries, need {size}")
     return DistributionSpec(probs)

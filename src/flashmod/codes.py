@@ -150,8 +150,7 @@ class LoadBalancingCode:
             _check_fit(state, self.params)
             current = self._stored(state)
             self._last = (state, r, current)
-            # read with the field _stored just used, so a cycle sees one field
-            self._tables = self.field.exp, self.field.log, self.params.k
+            self._tables = self.field.exp, self.field.log, self.params.k  # the degree's shared tables
         if current == value:
             return NOOP
         values = self._values

@@ -6,10 +6,10 @@ load-balancing code is therefore the identity map (and sends 0 to 0),
 which keeps traces reproducible, and field addition is integer XOR,
 ``a ^ b``.  Reduction uses one fixed primitive polynomial per extension
 degree, and products and inverses are lookups in log/antilog tables
-built lazily per FieldSpec.
+built lazily, once per degree.
 """
 
-from functools import cached_property
+from functools import cache
 from operator import index
 
 from ._record import Record
@@ -48,15 +48,15 @@ DEFAULT_POLYS = {
 class FieldSpec(Record):
     """GF(2**m), reduced modulo the primitive polynomial DEFAULT_POLYS[m].
 
-    Because the polynomial is primitive, x generates the multiplicative
-    group, so products and inverses are lookups in the exp (antilog) and
-    log tables.  Construction only checks m; the tables are built on the
-    first product or inverse.  The build is deterministic, so threads that
-    race on it store equal tables, and a FieldSpec is safe to share
-    across threads with all operations on it pure.
+    As the polynomial is primitive, x generates the multiplicative group,
+    so products and inverses are lookups in exp (antilog) and log tables.
+    These belong to the degree and are lazy: the first product or inverse
+    of degree m builds its one set, which every FieldSpec of m then reads
+    for the life of the process (m=24's is ~1.5 GB).  The deterministic
+    build lets racing threads get equal tables and share a FieldSpec.
     """
 
-    _fields = ("m",)  # no __slots__: the cached tables live in __dict__
+    __slots__ = _fields = ("m",)
 
     def __init__(self, m: int):
         m = index(m)
@@ -64,7 +64,7 @@ class FieldSpec(Record):
             raise ValueError(
                 f"extension degree m must be in [{min(DEFAULT_POLYS)}, {max(DEFAULT_POLYS)}], got {m}"
             )
-        object.__setattr__(self, "m", m)
+        self._set(m)
 
     @property
     def poly(self) -> int:
@@ -76,26 +76,27 @@ class FieldSpec(Record):
         """Number of field elements, 2**m."""
         return 1 << self.m
 
-    @cached_property
-    def exp(self) -> list[int]:
-        """exp[i] = x**i, for i in [0, 2*(order-1)), so a sum of two logs needs no reduction."""
-        top, poly = self.order, self.poly
-        exp = []
-        a = 1
-        for _ in range(top - 1):
-            exp.append(a)
-            a <<= 1
-            if a & top:
-                a ^= poly
-        return exp + exp
+    @property
+    def exp(self) -> list[int]:  # exp[i] = x**i for i < 2*(order-1): a sum of two logs needs no reduction
+        return _tables(self.m)[0]
 
-    @cached_property
-    def log(self) -> list[int]:
-        """log[a] = i with x**i = a, for a != 0; log[0] is unused."""
-        log = [0] * self.order
-        for i, a in enumerate(self.exp[: self.order - 1]):
-            log[a] = i
-        return log
+    @property
+    def log(self) -> list[int]:  # log[a] = i with x**i = a, for a != 0; log[0] is unused
+        return _tables(self.m)[1]
+
+
+@cache
+def _tables(m: int) -> tuple[list[int], list[int]]:
+    """GF(2**m)'s exp and log lists, filled in one walk over the powers of x; all callers share them, read-only."""
+    top, poly = 1 << m, DEFAULT_POLYS[m]
+    exp, log, a = [], [0] * top, 1
+    for i in range(top - 1):
+        exp.append(a)
+        log[a] = i
+        a <<= 1
+        if a & top:
+            a ^= poly
+    return exp + exp, log
 
 
 def _not_element(spec: FieldSpec, *elems: int) -> ValueError:
@@ -111,8 +112,8 @@ def gf_mul(spec: FieldSpec, a: int, b: int) -> int:
         raise _not_element(spec, a, b)
     if a == 0 or b == 0:
         return 0
-    log = spec.log
-    return spec.exp[log[a] + log[b]]
+    exp, log = _tables(spec.m)
+    return exp[log[a] + log[b]]
 
 
 def gf_inv(spec: FieldSpec, a: int) -> int:
@@ -122,4 +123,5 @@ def gf_inv(spec: FieldSpec, a: int) -> int:
         raise _not_element(spec, a)
     if a == 0:
         raise ZeroDivisionError("0 is not invertible in a field")
-    return spec.exp[top - 1 - spec.log[a]]
+    exp, log = _tables(spec.m)
+    return exp[top - 1 - log[a]]

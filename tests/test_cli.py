@@ -216,6 +216,27 @@ def test_simulate_dist_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_simulate_dist_file_is_read_up_to_the_law(tmp_path, monkeypatch, capsys):
+    "A law file longer than the law exits 2 and writes nothing, and no line past its first extra entry is read."
+    out, law = tmp_path / "x.csv", tmp_path / "long.txt"
+    argv = ["simulate", "--k", "2", "--q", "4", "--dist", str(law), "--out", str(out)]
+    law.write_text("0.25\n" * 5)  # one entry more than the 4 values of k=2
+    assert run_cli(argv) == 2
+    assert "more than 4 entries, need 4" in capsys.readouterr().err
+    law.write_text("0.25,0.25\n0.25\n0.25,0.25\n" + "0.25\n" * 10_000)
+    handed = []
+
+    @contextlib.contextmanager
+    def counting_open(*args, **kwargs):
+        with open(*args, **kwargs) as fh:
+            yield (handed.append(line) or line for line in fh)
+
+    monkeypatch.setattr("flashmod.cli.open", counting_open, raising=False)
+    assert run_cli(argv) == 2
+    assert len(handed) == 3  # the third line holds the fifth entry
+    assert not out.exists()
+
+
 def test_simulate_inline_dist(tmp_path):
     out = tmp_path / "inline.csv"
     rc = run_cli(

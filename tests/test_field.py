@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_core import assert_frozen
 
+from flashmod import field
 from flashmod.field import DEFAULT_POLYS, FieldSpec, gf_inv, gf_mul
 
 
@@ -52,21 +53,33 @@ def inv_oracle(a, poly):
     return poly_mod(t1, poly)
 
 
-def test_default_polys_all_valid():
-    for m in range(2, 25):
-        spec = FieldSpec(m)
-        assert spec.poly == DEFAULT_POLYS[m]
-        assert spec.order == 1 << m
-        assert "exp" not in vars(spec) and "log" not in vars(spec)  # tables are built lazily
-    spec = FieldSpec(4)
+def no_tables(m):
+    raise AssertionError(f"GF(2^{m})'s tables were built")
+
+
+def test_default_polys_all_valid(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(field, "_tables", no_tables)  # tables are built lazily
+        for m in range(2, 25):
+            spec = FieldSpec(m)
+            assert spec.poly == DEFAULT_POLYS[m]
+            assert spec.order == 1 << m
+        # a frozen value, equal, hashed and shown by m alone, none of which builds a table
+        spec = FieldSpec(4)
+        assert spec == FieldSpec(m=4) and hash(spec) == hash(FieldSpec(4)) and spec != FieldSpec(5)
+        assert repr(spec) == "FieldSpec(m=4)"
+        # a NumPy integer is read as the int it holds
+        assert FieldSpec(np.int64(4)) == spec and repr(FieldSpec(np.int64(4))) == "FieldSpec(m=4)"
+        assert_frozen(spec, "m", "exp")
+    assert not hasattr(spec, "__dict__")  # slotted: the tables are the degree's, not the spec's
     gf_mul(spec, 3, 5)
     assert len(spec.exp) == 2 * 15 and len(spec.log) == 16
-    # a frozen value, equal, hashed and shown by m alone: built tables do not count
-    assert spec == FieldSpec(m=4) and hash(spec) == hash(FieldSpec(4)) and spec != FieldSpec(5)
-    assert repr(spec) == "FieldSpec(m=4)"
-    # a NumPy integer is read as the int it holds
-    assert FieldSpec(np.int64(4)) == spec and repr(FieldSpec(np.int64(4))) == "FieldSpec(m=4)"
-    assert_frozen(spec, "m", "exp")
+
+
+def test_tables_belong_to_the_degree():
+    for m in (2, 4, 10):
+        assert FieldSpec(m).exp is FieldSpec(m).exp and FieldSpec(m).log is FieldSpec(m).log
+    assert FieldSpec(4).exp is not FieldSpec(5).exp
 
 
 def x_power(e, poly):
@@ -133,11 +146,12 @@ def test_inv_examples():
         gf_inv(spec, 0)
 
 
-def test_element_range_checked():
+def test_element_range_checked(monkeypatch):
     spec = FieldSpec(2)
     with pytest.raises(ValueError):
         gf_mul(spec, 4, 1)
     # the operand check comes before the tables are touched or built
+    monkeypatch.setattr(field, "_tables", no_tables)
     big = FieldSpec(24)
     for call in (
         lambda: gf_mul(big, 1 << 24, 1),
@@ -147,7 +161,6 @@ def test_element_range_checked():
     ):
         with pytest.raises(ValueError, match="not an element"):
             call()
-        assert "log" not in vars(big) and "exp" not in vars(big)
 
 
 def test_gf16_products_match_oracle_exhaustively():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from test_codes import reference_lb_encode, reference_sr_encode
 
 import flashmod.sim as sim
+from flashmod import field
 from flashmod.codes import make_code
 from flashmod.core import ERASE_REQUIRED, NOOP, WRITTEN, CellState, CodeKind, CodeParams
 from flashmod.field import FieldSpec
@@ -465,6 +467,35 @@ def test_the_last_reader_keeps_nothing(kind, monkeypatch):
     for p in points:
         run_experiment(p, dist, cycles, 3)
     assert kept == [0] * 3 * cycles
+
+
+def test_a_sweep_reads_one_table_set(monkeypatch):
+    "Every load-balancing code of a q sweep reads its degree's one exp and log list after its first write."
+    codes = []
+
+    def kept_code(params):
+        codes.append(make_code(params))
+        return codes[-1]
+
+    monkeypatch.setattr(sim, "make_code", kept_code)
+    run_experiment(sweep_points(CodeKind.LOAD_BALANCING, 3, (2, 4, 8, 4)), uniform(3), 2, 0)
+    assert len(codes) == 4
+    assert all(code._tables[0] is FieldSpec(4).exp and code._tables[1] is FieldSpec(4).log for code in codes)
+
+
+def test_sweep_memory_does_not_grow_with_its_points():
+    "16 equal load-balancing points at k=14 peak within 1.25x of one: GF(2^15)'s tables are built once, not per code."
+    point, dist = sweep_points(CodeKind.LOAD_BALANCING, 14, (2,)), uniform(14)
+    peaks = []
+    for points in (point, point * 16):
+        field._tables.cache_clear()  # each run builds the tables, as in a fresh process
+        tracemalloc.start()
+        try:
+            run_experiment(points, dist, 1, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 @settings(max_examples=60, deadline=None)
