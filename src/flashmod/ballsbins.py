@@ -137,7 +137,7 @@ def collision_bound(m: float, n: float, k: float) -> float:
     Evaluates min(1, (m*e/(n*k))**k) in log space so large k cannot
     overflow.  m balls, n bins, threshold k (k may be fractional).
     """
-    if not all(1 <= v < math.inf for v in (m, n, k)):
+    if not all(1 <= v <= sys.float_info.max for v in (m, n, k)):  # ints past float range too
         raise ValueError(f"need finite m, n, k >= 1, got m={m}, n={n}, k={k}")
     log_bound = k * (1.0 + math.log(m) - math.log(n) - math.log(k))
     if log_bound >= 0.0:
@@ -214,7 +214,7 @@ def solve_dc(c: float) -> float:
     rounded to ulp(c), so the gap is good to 1e-6 up to c = 1e20, and dc
     exceeds c only up to c of about 1e32; beyond that dc rounds to c.
     """
-    if not 0 < c < math.inf:
+    if not 0 < c <= sys.float_info.max:
         raise ValueError(f"c must be positive and finite, got {c}")
     ln_c = math.log(c)
 
@@ -251,6 +251,6 @@ def lambert_w0(x: float) -> float:
     ValueError
         If x lies below the branch point -1/e or is not finite.
     """
-    if not _BRANCH_POINT <= x < math.inf:
+    if not _BRANCH_POINT <= x <= sys.float_info.max:
         raise ValueError(f"lambert_w0 needs finite x >= -1/e ~= {_BRANCH_POINT:.9f}, got {x}")
     return _bisect(lambda w: w * math.exp(w) - x, max(-1.0, min(0.0, math.e * x)), math.log1p(x))

@@ -181,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sim = sub.add_parser("simulate", parents=[seeded, output], help="sweep q for one code and record eta/gamma")
+    sim.set_defaults(handler=_cmd_simulate)
     sim.add_argument("--code", choices=codes, default="self-randomized")
     sim.add_argument("--k", type=int, required=True, help="variables per group")
     sim.add_argument("--q", type=_commas(int), required=True, help="comma-separated q sweep, e.g. 2,4,8,16,32")
@@ -188,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dist", default=None, help="input law: file (one prob per line or comma) or inline p0,p1,...")
 
     balls = sub.add_parser("ballsbins", parents=[seeded, output], help="d-choice random loading sweeps")
+    balls.set_defaults(handler=_cmd_ballsbins)
     balls.add_argument("--mode", choices=("maxload", "overflow"), default="maxload")
     balls.add_argument("--n", type=_integer(read_cells), required=True, help="bins")
     balls.add_argument("--m", type=int, default=None, help="balls per trial (maxload mode)")
@@ -196,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     balls.add_argument("--trials", type=_integer(_read_streams, "trials", 1), default=100)
 
     bounds = sub.add_parser("bounds", help="evaluate the analytic formulas")
+    bounds.set_defaults(handler=_cmd_bounds)
     # every bounds flag may repeat; flags print in this order, a flag's values in argv order
     bounds.add_argument("--gamma-bounds", type=_commas(int, "K,L"), action="append", metavar="K,L",
                         help="storage efficiency ceilings")
@@ -207,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--lambertw", type=float, action="append", metavar="X", help="principal Lambert W at X")
 
     rt = sub.add_parser("roundtrip", parents=[seeded], help="random-write decodability check")
+    rt.set_defaults(handler=_cmd_roundtrip)
     rt.add_argument("--code", choices=("both", *codes), default="both")
     rt.add_argument("--k", type=_commas(int), default="1,2,3", help="comma-separated k values")
     rt.add_argument("--q", type=_commas(int), default="4,8,16", help="comma-separated q values")
@@ -319,14 +323,6 @@ def _cmd_roundtrip(args):
     return run
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "ballsbins": _cmd_ballsbins,
-    "bounds": _cmd_bounds,
-    "roundtrip": _cmd_roundtrip,
-}
-
-
 def run_cli(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -334,7 +330,7 @@ def run_cli(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     exit_code = 2  # until the handler has checked every input and returned the run
     try:
-        run = _HANDLERS[args.command](args)
+        run = args.handler(args)
         exit_code = 1
         return run() or 0  # a run returns None, or 1 for failed roundtrip decodes
     except (OSError, ValueError, ZeroDivisionError) as exc:

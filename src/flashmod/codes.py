@@ -12,12 +12,12 @@ sound because cell_increment, the only way a CellState's sums change,
 adds exactly one to the level sum.  An erase forgets the state (no
 finished cycle is kept alive).  The memo is one tuple, read in one
 unpack and written in one store, so threads sharing a code only miss.
-A miss checks the state's q and cell count and computes the value with
-the private _stored that decode wraps, never through decode itself: a
-decode replaced from outside (a tracer, a deliberately broken decoder)
+A miss reads _stored, which is decode's own function, bound in the class
+body: it checks the state's q and cell count and works out the value, and
+a decode replaced from outside (a tracer, a deliberately broken decoder)
 leaves what encode writes unchanged, so a round trip still tests it.  A
-hit is the same object, already checked.  The value's range is checked
-on every write that raises a cell or hits an erase, before the state is
+hit is the same object, already checked.  The value's range is checked on
+every write that raises a cell or hits an erase, before the state is
 touched; a same-value write is in range by construction, as the value it
 equals is one the state stores.
 """
@@ -52,34 +52,32 @@ class SelfRandomizedCode:
         if params.kind is not CodeKind.SELF_RANDOMIZED:
             raise ValueError(f"params describe a {params.kind.value} code")
         self.params = params
-        self._mod = params.value_count
+        self._values = params.value_count
         self._last = _FORGOTTEN
-
-    def _stored(self, state: CellState) -> int:
-        r = state.level_sum
-        # r(r+1)/2 is computed in full precision before the reduction
-        return (state.weighted_level_sum - r * (r + 1) // 2) % self._mod
 
     def decode(self, state: CellState) -> int:
         """Value currently stored; a function of the state alone."""
         _check_fit(state, self.params)
-        return self._stored(state)
+        r = state.level_sum
+        # r(r+1)/2 is computed in full precision before the reduction
+        return (state.weighted_level_sum - r * (r + 1) // 2) % self._values
+
+    _stored = decode  # encode's rule, kept when decode is replaced from outside
 
     def encode(self, state: CellState, value: int) -> WriteKind:
         """Store value, incrementing at most one cell."""
         r = state.level_sum
         held, at, current = self._last
         if held is not state or at != r:
-            _check_fit(state, self.params)
             current = self._stored(state)
             self._last = (state, r, current)
         if current == value:
             return NOOP
-        mod = self._mod
-        if not 0 <= value < mod:
-            raise ValueError(f"value {value} outside [0, {mod})")
+        values = self._values
+        if not 0 <= value < values:
+            raise ValueError(f"value {value} outside [0, {values})")
         # the cell (value - current) + r + 1 moves both sums onto value
-        out = cell_increment(state, (value - current + r + 1) % mod)
+        out = cell_increment(state, (value - current + r + 1) % values)
         self._last = _FORGOTTEN if out is ERASE_REQUIRED else (state, r + 1, value)
         return out
 
@@ -114,15 +112,14 @@ class LoadBalancingCode:
         self._values = params.value_count
         self._last = _FORGOTTEN
 
-    def _stored(self, state: CellState) -> int:
+    def decode(self, state: CellState) -> int:
+        """Value currently stored; a function of the state alone."""
+        _check_fit(state, self.params)
         r, values = state.level_sum, self._values
         a, b = r % (values - 1) + 1, r % values
         return gf_mul(self.field, gf_inv(self.field, a), (state.weighted_level_sum % self._n) ^ b) & (values - 1)
 
-    def decode(self, state: CellState) -> int:
-        """Value currently stored; a function of the state alone."""
-        _check_fit(state, self.params)
-        return self._stored(state)
+    _stored = decode  # encode's rule, kept when decode is replaced from outside
 
     def candidate_cells(self, state: CellState, value: int) -> list[int]:
         """Cells a write of value would choose among, in choice order."""
@@ -147,7 +144,6 @@ class LoadBalancingCode:
         r = state.level_sum
         held, at, current = self._last
         if held is not state or at != r:
-            _check_fit(state, self.params)
             current = self._stored(state)
             self._last = (state, r, current)
             self._tables = self.field.exp, self.field.log, self.params.k  # the degree's shared tables

@@ -351,12 +351,17 @@ def min_of_n_expectation(samples, n: int) -> float:
     group's stopping-time samples into the expected first-failure time
     of n groups running side by side.
     """
-    values = np.asarray(samples, dtype=float)
+    try:
+        values = np.asarray(samples, dtype=float)
+    except OverflowError:  # an int past float range
+        raise ValueError("samples must be finite") from None
     if values.ndim != 1 or values.size == 0:
         raise ValueError("samples must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(values)):
         raise ValueError("samples must be finite")
     n = read_count(n, "n", 1)
+    if n > sys.float_info.max:
+        raise ValueError(f"n must be within float range, got {n}")
     values = np.sort(values)
     m = values.size
     survive = (np.arange(m - 1, 0, -1) / m) ** n

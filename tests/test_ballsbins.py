@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from flashmod.ballsbins import (
     solve_dc,
     throw_balls,
 )
-from flashmod.sim import cycle_rng
+from flashmod.sim import cycle_rng, cycle_rngs
 
 
 def test_throw_balls_trivial_cases():
@@ -115,6 +116,47 @@ def test_balls_until_overflow_matches_sequential_reference():
         assert fast == slow
 
 
+def exact_overflow_mean(n, q, d):
+    """E[T] for balls_until_overflow(n, q, d), exactly, from the load-profile chain.
+
+    The profile (c_0, ..., c_{q-1}) counts the bins at each load; under d
+    distinct uniform choices it is a Markov chain, whatever the tie rule.
+    With S_j the bins at load >= j, a ball lands on level j with
+    probability [C(S_j, d) - C(S_{j+1}, d)] / C(n, d); landing on level
+    q-1 stops the trial.  Each placement adds one ball, so the live mass
+    after t placements is P(T >= t), and E[T] is its sum over t >= 1.
+    """
+    total = math.comb(n, d)
+    layer = {(n,) + (0,) * (q - 1): Fraction(1)}
+    mean = Fraction(0)
+    while layer:
+        nxt = {}
+        for profile, mass in layer.items():
+            at_least = [sum(profile[j:]) for j in range(q)] + [0]
+            for j in range(q - 1):  # level q-1 stops the trial
+                ways = math.comb(at_least[j], d) - math.comb(at_least[j + 1], d)
+                if ways:
+                    moved = list(profile)
+                    moved[j] -= 1
+                    moved[j + 1] += 1
+                    key = tuple(moved)
+                    nxt[key] = nxt.get(key, 0) + mass * Fraction(ways, total)
+        layer = nxt
+        mean += sum(layer.values())
+    return mean
+
+
+def test_overflow_oracles_match_the_exact_chain():
+    # eta = 1 - E[T] / (n(q-1)), the values of the float prototype of the chain
+    for (n, q, d), eta in (((8, 4, 1), 0.4810), ((8, 4, 2), 0.1673), ((16, 2, 2), 0.4849), ((16, 4, 2), 0.2420)):
+        mean = exact_overflow_mean(n, q, d)
+        assert round(1 - float(mean) / (n * (q - 1)), 4) == eta, (n, q, d)
+        # 4000 trials of one fixed seed land within 4 standard errors of E[T]
+        trials = np.array([balls_until_overflow(n, q, d, rng) for rng in cycle_rngs(4242, 0, 4000)])
+        z = (trials.mean() - float(mean)) / (trials.std(ddof=1) / math.sqrt(trials.size))
+        assert abs(z) <= 4, (n, q, d, z)
+
+
 def _sequential_place(n, d, rng, balls, cap):
     """Plain replay of the documented draws, one ball at a time.
 
@@ -200,6 +242,12 @@ def test_collision_bound_examples():
             collision_bound(m, n, k)
 
 
+def test_collision_bound_refuses_ints_past_float_range():
+    for m, n, k in ((10**400, 2, 2), (2, 10**400, 2), (2, 2, 10**400)):
+        with pytest.raises(ValueError, match="need finite m, n, k >= 1"):
+            collision_bound(m, n, k)
+
+
 def test_collision_bound_holds_per_bin_empirically():
     # fraction of (trial, bin) pairs at or above k stays under the bound
     n = m = 1000
@@ -259,6 +307,11 @@ def test_solve_dc_closed_form_and_residuals():
             solve_dc(c)
 
 
+def test_solve_dc_refuses_an_int_past_float_range():
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        solve_dc(10**400)
+
+
 def test_solve_dc_keeps_the_gap_at_large_c():
     # dc - c, about sqrt(2c), against mpmath's root of g at 80 digits
     for c, gap in ((1e14, 14142135.9570643), (1e15, 44721359.8833291), (1e20, 14142135624.0643)):
@@ -289,6 +342,11 @@ def test_lambert_w0_examples():
     for x in (-0.4, math.nan, math.inf):
         with pytest.raises(ValueError):
             lambert_w0(x)
+
+
+def test_lambert_w0_refuses_an_int_past_float_range():
+    with pytest.raises(ValueError, match="lambert_w0 needs finite x"):
+        lambert_w0(10**400)
 
 
 def test_lambert_w0_residual_on_grid():

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -191,22 +192,23 @@ def test_round_trip_property(kind, k, q, seed, values):
 
 
 @pytest.mark.parametrize("q", [2, 4])
-def test_encode_memo_tracks_state_identity(q):
+def test_encode_memo_tracks_state_identity(q, monkeypatch):
     """The encode memo follows the state object, not the code.
 
     Each code writes into two states in random order; now and then a cell
     of a state and of its mirror is raised directly, and writing goes on
     after an erase.  Every outcome must equal the reference's on the
     mirror, the stored value must be worked out (by _stored, never by
-    decode) exactly when the memo cannot answer for the state at its level
-    sum, and after an erase the code must hold no reference to the state:
-    its count is back to the mirror's, which the code never sees.
+    decode, whether decode is replaced on the instance or on the class)
+    exactly when the memo cannot answer for the state at its level sum,
+    and after an erase the code must hold no reference to the state: its
+    count is back to the mirror's, which the code never sees.
     """
 
     def no_decode(state):
         raise AssertionError("encode called decode")
 
-    for kind in CodeKind:
+    for decode_on, kind in itertools.product(("instance", "class"), CodeKind):
         for k in range(1, 7):
             params = CodeParams(k=k, l=2, q=q, kind=kind)
             code = make_code(params)
@@ -222,7 +224,11 @@ def test_encode_memo_tracks_state_identity(q):
                 misses[0] += 1
                 return true_miss(state)
 
-            code._stored, code.decode = counted_miss, no_decode
+            if decode_on == "class":
+                monkeypatch.setattr(type(code), "decode", lambda self, state: no_decode(state))
+                code._stored = counted_miss
+            else:
+                code._stored, code.decode = counted_miss, no_decode
             rng = np.random.default_rng([k, q])
             states = [CellState.zeros(params.n, q) for _ in range(2)]
             mirrors = [CellState.zeros(params.n, q) for _ in range(2)]
@@ -375,6 +381,7 @@ def test_codes_reject_mismatched_state():
         for bad, match in ((CellState.zeros(8, 4), "cells"), (CellState.zeros(n, 7), "q=7")):
             with pytest.raises(ValueError, match=match):
                 code.encode(bad, 2)
+            assert misses.pop() is bad  # the rule's own check refused it
             assert bad.level_sum == 0 and not any(bad.levels)
         assert code.encode(good, 2) is WRITTEN and misses == [good]  # still a memo hit
         assert true_miss(good) == 2

@@ -580,3 +580,9 @@ class TestMinOfN:
         for bad in ([1.0, math.nan], [1.0, math.inf]):
             with pytest.raises(ValueError, match="samples must be finite"):
                 min_of_n_expectation(bad, 2)
+
+    def test_refuses_ints_past_float_range(self):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            min_of_n_expectation([1, 10**400], 2)
+        with pytest.raises(ValueError, match="n must be within float range"):
+            min_of_n_expectation([1.0, 2.0], 10**400)
