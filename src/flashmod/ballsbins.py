@@ -5,9 +5,12 @@ ball: each ball samples d distinct bins uniformly at random (all bins,
 when d >= n) and lands in the least loaded of them, ties going to the
 lowest bin index.  d=1 is plain uniform placement; d=2 is the
 two-random-choices rule the load-balancing code imitates, whose two
-candidate cells are always distinct.  The analytic half predicts the
-maximum load in the regimes the codes operate in, plus the root solver
-the m = c*n*ln(n) prediction needs and the Lambert W that checks it.
+candidate cells are always distinct.  overflow_survival is the exact
+law of balls_until_overflow's count, where its chain is small enough to
+walk, and survival_mean_eta its mean and eta.  The analytic half
+predicts the maximum load in the regimes the codes operate in, plus the
+root solver the m = c*n*ln(n) prediction needs and the Lambert W that
+checks it.
 
 All randomness comes from caller-supplied numpy Generators, so trials
 parallelize with independently seeded streams.
@@ -27,6 +30,8 @@ __all__ = [
     "RegimePrediction",
     "throw_balls",
     "balls_until_overflow",
+    "overflow_survival",
+    "survival_mean_eta",
     "collision_bound",
     "max_load_prediction",
     "solve_dc",
@@ -34,6 +39,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14
+_CHAIN_STATES = 500_000  # load profiles overflow_survival may walk
 
 
 class LoadRegime(Enum):
@@ -129,6 +135,51 @@ def balls_until_overflow(n: int, q: int, d: int, rng: np.random.Generator) -> in
     # after n*(q-1)+1 balls some bin has been chosen q times, so that
     # budget always holds the stopping point
     return sum(_place(n, d, rng, n * qm1 + 1, qm1))
+
+
+def overflow_survival(n: int, q: int, d: int) -> list[float]:
+    """P(T >= t) for t = 0, 1, ..., T being balls_until_overflow(n, q, d)'s count, exactly.
+
+    Under d distinct uniform choices the load profile (c_0, ..., c_{q-1}),
+    the bins at each load, is a Markov chain, whatever the tie rule.  With
+    S_j the bins at load >= j, a ball lands on level j with probability
+    [C(S_j, d) - C(S_{j+1}, d)] / C(n, d), and landing on level q-1 ends
+    the trial.  The chain is walked in floats one layer per ball, so the
+    mass left after t balls is P(T >= t); the list ends with the first
+    empty layer's 0, within n*(q-1)+2 entries.  d above n reads as n.  A
+    chain of more than _CHAIN_STATES profiles, C(n+q-1, q-1), is refused
+    before any layer is built.
+    """
+    n, d, q = read_cells(n), read_count(d, "d", 1), read_count(q, "q", 2)
+    k = min(n, q - 1)
+    # C(n+q-1, k) >= C(2k, k) is past the cap from k = 20, where expanding it could take minutes
+    states = math.comb(n + q - 1, k) if k < 20 else f"C({n + q - 1}, {k})"
+    if k >= 20 or states > _CHAIN_STATES:
+        raise ValueError(f"the load-profile chain of n={n}, q={q} has {states} states, more than {_CHAIN_STATES}")
+    d = min(d, n)
+    total = math.comb(n, d)
+    ways = [math.comb(s, d) for s in range(n + 1)]  # exact, so each probability is one rounding
+    layer, masses = {(n,) + (0,) * (q - 1): 1.0}, [1.0]
+    while layer:
+        nxt = {}
+        for profile, mass in layer.items():
+            above = n  # S_j, then S_{j+1}
+            for j in range(q - 1):  # level q-1 ends the trial
+                below, above = above, above - profile[j]
+                if moved := ways[below] - ways[above]:
+                    key = profile[:j] + (profile[j] - 1, profile[j + 1] + 1) + profile[j + 2 :]
+                    nxt[key] = nxt.get(key, 0.0) + mass * (moved / total)
+        layer = nxt
+        # where no mass stops, rounding could lift the sum by an ulp
+        masses.append(min(masses[-1], math.fsum(layer.values())))
+    return masses
+
+
+def survival_mean_eta(masses: list[float], n: int, q: int) -> tuple[float, float]:
+    """E[T] = sum over t >= 1 of P(T >= t), from survival masses, and eta = 1 - E[T] / (n*(q-1))."""
+    n, q = read_cells(n), read_count(q, "q", 2)
+    mean = math.fsum(masses[1:])
+    return mean, 1.0 - mean / (n * (q - 1))
 
 
 def collision_bound(m: float, n: float, k: float) -> float:

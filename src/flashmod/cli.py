@@ -138,7 +138,7 @@ def _load_dist(spec: str | None, size: int) -> DistributionSpec:
     if spec is None:
         return DistributionSpec.uniform(size)
     if os.path.isfile(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
+        with open(spec, "r", encoding="utf-8-sig") as fh:  # skips the byte-order mark spreadsheet exports lead with
             return _read_law(spec, (line.split("#", 1)[0] for line in fh), size)
     if "," in spec:
         return _read_law(spec, [spec], size)

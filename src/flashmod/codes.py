@@ -95,11 +95,11 @@ class LoadBalancingCode:
     Write count r uses the map v -> a_r*v + b_r with a_r = r mod (2**k - 1)
     + 1, never 0, and b_r = r mod 2**k.  A state with level sum r and
     index-weighted sum w (mod n) stores a_r^-1 * (w + b_r) mod 2**k.
-    Write r of value x forms u = a_r*x + b_r in GF(n), whose + is XOR,
-    and has the candidates (u - w) mod n and ((u ^ a_r*2**k) - w) mod n:
-    products distribute over XOR, so the image of x's other copy,
-    a_r*(x ^ 2**k) + b_r, is u ^ a_r*2**k.  The pairs of the 2**k values
-    therefore split the n cells into a perfect matching fixed by
+    Write r of value x names one candidate per copy c in (x, x | 2**k):
+    ((a_r*c + b_r) - w) mod n, the map taken in GF(n), whose + is XOR.
+    Products distribute over XOR, so with u = a_r*x + b_r the second is
+    ((u ^ a_r*2**k) - w) mod n, as encode forms it, and the pairs of the
+    2**k values split the n cells into a perfect matching fixed by
     (a_r, b_r, w).
     """
 
@@ -112,12 +112,15 @@ class LoadBalancingCode:
         self._values = params.value_count
         self._last = _FORGOTTEN
 
+    def _coefficients(self, r: int) -> tuple[int, int]:
+        """(a_r, b_r) of write count r; encode reads the same schedule inline, on the tables."""
+        return r % (self._values - 1) + 1, r % self._values
+
     def decode(self, state: CellState) -> int:
         """Value currently stored; a function of the state alone."""
         _check_fit(state, self.params)
-        r, values = state.level_sum, self._values
-        a, b = r % (values - 1) + 1, r % values
-        return gf_mul(self.field, gf_inv(self.field, a), (state.weighted_level_sum % self._n) ^ b) & (values - 1)
+        a, b = self._coefficients(state.level_sum)
+        return gf_mul(self.field, gf_inv(self.field, a), (state.weighted_level_sum % self._n) ^ b) & (self._values - 1)
 
     _stored = decode  # encode's rule, kept when decode is replaced from outside
 
@@ -126,12 +129,9 @@ class LoadBalancingCode:
         if not 0 <= value < self._values:
             raise ValueError(f"value {value} outside [0, {self._values})")
         _check_fit(state, self.params)
-        n, values = self._n, self._values
-        r = state.level_sum + 1
-        a, b = r % (values - 1) + 1, r % values
-        raw = state.weighted_level_sum % n
-        u, t = gf_mul(self.field, a, value) ^ b, gf_mul(self.field, a, values)
-        return [(u - raw) % n, ((u ^ t) - raw) % n]
+        a, b = self._coefficients(state.level_sum + 1)
+        n, w = self._n, state.weighted_level_sum
+        return [((gf_mul(self.field, a, x) ^ b) - w) % n for x in (value, value | self._values)]
 
     def encode(self, state: CellState, value: int) -> WriteKind:
         """Store value on the less charged of its two candidate cells.

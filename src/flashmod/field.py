@@ -67,11 +67,6 @@ class FieldSpec(Record):
         self._set(m)
 
     @property
-    def poly(self) -> int:
-        """(m+1)-bit mask of the reduction polynomial."""
-        return DEFAULT_POLYS[self.m]
-
-    @property
     def order(self) -> int:
         """Number of field elements, 2**m."""
         return 1 << self.m

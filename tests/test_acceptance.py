@@ -25,7 +25,7 @@ from flashmod.ballsbins import (
 )
 from flashmod.cli import run_cli
 from flashmod.codes import make_code
-from flashmod.field import FieldSpec, gf_mul
+from flashmod.field import DEFAULT_POLYS, FieldSpec, gf_mul
 from flashmod.sim import DistributionSpec, cycle_rng, cycle_rngs, run_cycle, run_experiment
 
 FIG2_Q_GRID = (2, 4, 8, 16, 32)
@@ -246,7 +246,7 @@ def test_criterion_7_efficiency_bound(scaling_cycles, fig2_runs, big_n_runs):
 def test_criterion_8_field_correctness():
     spec16 = FieldSpec(4)
     mismatches = sum(
-        gf_mul(spec16, a, b) != mul_oracle(a, b, spec16.poly) for a in range(16) for b in range(16)
+        gf_mul(spec16, a, b) != mul_oracle(a, b, DEFAULT_POLYS[spec16.m]) for a in range(16) for b in range(16)
     )
 
     axiom_failures = 0

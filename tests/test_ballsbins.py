@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +16,9 @@ from flashmod.ballsbins import (
     collision_bound,
     lambert_w0,
     max_load_prediction,
+    overflow_survival,
     solve_dc,
+    survival_mean_eta,
     throw_balls,
 )
 from flashmod.sim import cycle_rng, cycle_rngs
@@ -155,6 +159,38 @@ def test_overflow_oracles_match_the_exact_chain():
         trials = np.array([balls_until_overflow(n, q, d, rng) for rng in cycle_rngs(4242, 0, 4000)])
         z = (trials.mean() - float(mean)) / (trials.std(ddof=1) / math.sqrt(trials.size))
         assert abs(z) <= 4, (n, q, d, z)
+
+
+def test_overflow_survival_matches_the_exact_chain():
+    # the library's float chain against the Fraction reference, and the prototype's eta values
+    for (n, q, d), eta in (((8, 4, 1), 0.4810), ((8, 4, 2), 0.1673), ((16, 2, 2), 0.4849), ((16, 4, 2), 0.2420), ((8, 8, 2), 0.0764)):
+        masses = overflow_survival(n, q, d)
+        mean, got = survival_mean_eta(masses, n, q)
+        assert mean == pytest.approx(float(exact_overflow_mean(n, q, d)), rel=1e-12, abs=0), (n, q, d)
+        assert round(got, 4) == eta, (n, q, d)
+        # P(T >= 0) = 1, never rising, down to the first empty layer's 0
+        assert masses[0] == 1.0 and masses[-1] == 0.0 and len(masses) <= n * (q - 1) + 2
+        assert all(later <= earlier for earlier, later in zip(masses, masses[1:])), (n, q, d)
+    # d above n reads as every bin, as the placement kernel reads it
+    assert overflow_survival(4, 4, 9) == overflow_survival(4, 4, 4)
+
+
+def test_overflow_survival_refuses_big_chains_and_bad_args():
+    # C(31, 15) ~ 3e8 profiles, and one chain too big even to expand its count: refused before any layer
+    for (n, q), count in (((16, 16), "300540195"), ((2**24, 10**100), f"C({2**24 + 10**100 - 1}, {2**24})")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"n={n}, q={q} has {re.escape(count)} states, more than 500000"):
+            overflow_survival(n, q, 2)
+        assert time.perf_counter() - start < 1.0
+    for n, q, d, message in ((0, 2, 1, "n must be in"), (4, 1, 1, "q must be >= 2, got 1"), (4, 2, 0, "d must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            overflow_survival(n, q, d)
+    with pytest.raises(ValueError, match="2\\^24"):
+        overflow_survival(2**24 + 1, 2, 2)
+    with pytest.raises(TypeError):
+        overflow_survival(8, 4.0, 2)
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        survival_mean_eta([1.0, 0.0], 4, 1)
 
 
 def _sequential_place(n, d, rng, balls, cap):

@@ -180,6 +180,17 @@ def test_simulate_dist_file(tmp_path):
     assert out.read_bytes() == inline.read_bytes()
 
 
+def test_simulate_dist_file_with_byte_order_mark(tmp_path):
+    # spreadsheet exports lead with a UTF-8 byte-order mark; the law reads as without it
+    outs = []
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        law, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+        law.write_bytes(mark + b"0.5\n0.5\n")
+        assert run_cli(["simulate", "--k", "1", "--q", "4", "--cycles", "10", "--dist", str(law), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_simulate_dist_errors_exit_2(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "x.csv")
     missing = str(tmp_path / "nope.txt")
@@ -734,3 +745,13 @@ def test_readme_command_lines_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert run_cli(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_quick_start_runs(tmp_path):
+    "README's Quick start block runs in a fresh interpreter and prints eta in [0, 1) and gamma in (0, 3]."
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", README.read_text(), re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    child = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env)
+    assert child.returncode == 0, child.stderr
+    eta, gamma = map(float, child.stdout.split())
+    assert 0 <= eta < 1 and 0 < gamma <= 3
