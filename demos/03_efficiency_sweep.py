@@ -14,6 +14,7 @@ from flashmod import (
     DistributionSpec,
     balls_until_overflow,
     cycle_rngs,
+    loss_factor,
     run_experiment,
 )
 
@@ -38,8 +39,8 @@ qs = (2, 4, 8, 16, 32)
 for q, sr, lb in zip(qs, sweep(SR, 3, qs, 11), sweep(LB, 3, qs, 12)):
     d1, d2 = oracle(8, q, 1, 13), oracle(16, q, 2, 14)
     print(
-        f"{q:>3} {sr.eta:>8.4f} {1 - d1 / (8 * (q - 1)):>11.4f} "
-        f"{lb.eta:>8.4f} {1 - d2 / (16 * (q - 1)):>11.4f}"
+        f"{q:>3} {sr.eta:>8.4f} {loss_factor(d1, 8, q):>11.4f} "
+        f"{lb.eta:>8.4f} {loss_factor(d2, 16, q):>11.4f}"
     )
 
 print()

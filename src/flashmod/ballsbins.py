@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import read_cells, read_count
+from .core import loss_factor, read_cells, read_count
 
 __all__ = [
     "LoadRegime",
@@ -176,10 +176,9 @@ def overflow_survival(n: int, q: int, d: int) -> list[float]:
 
 
 def survival_mean_eta(masses: list[float], n: int, q: int) -> tuple[float, float]:
-    """E[T] = sum over t >= 1 of P(T >= t), from survival masses, and eta = 1 - E[T] / (n*(q-1))."""
-    n, q = read_cells(n), read_count(q, "q", 2)
+    """E[T] = sum over t >= 1 of P(T >= t), from survival masses, and its eta by core.loss_factor."""
     mean = math.fsum(masses[1:])
-    return mean, 1.0 - mean / (n * (q - 1))
+    return mean, loss_factor(mean, n, q)
 
 
 def collision_bound(m: float, n: float, k: float) -> float:

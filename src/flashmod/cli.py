@@ -37,7 +37,7 @@ from .ballsbins import (
     throw_balls,
 )
 from .codes import make_code
-from .core import ERASE_REQUIRED, CellState, CodeKind, CodeParams, read_cells, read_count
+from .core import ERASE_REQUIRED, CellState, CodeKind, CodeParams, loss_factor, read_cells, read_count
 from .sim import DistributionSpec, _blocks, _read_streams, cycle_rng, cycle_rngs, gamma_upper_bounds, run_experiment
 
 __all__ = ["run_cli", "main", "emit_records", "SIMULATE_COLUMNS"]
@@ -239,15 +239,16 @@ def _cmd_simulate(args):
 
 def _cmd_ballsbins(args):
     _check_out_dir(args.out)
+    needs, takes_no = ("m", "q") if args.mode == "maxload" else ("q", "m")
+    if getattr(args, needs) is None:
+        raise ValueError(f"{args.mode} mode needs --{needs}")
+    if getattr(args, takes_no) is not None:
+        raise ValueError(f"{args.mode} mode takes no --{takes_no}")
 
     def trial_mean(trial) -> float:  # trial t of every point reads stream t
         return sum(trial(rng) for rng in cycle_rngs(args.seed, 0, args.trials)) / args.trials
 
     if args.mode == "maxload":
-        if args.m is None:
-            raise ValueError("maxload mode needs --m")
-        if args.q is not None:
-            raise ValueError("maxload mode takes no --q")
         predictions = [max_load_prediction(args.n, args.m, d).predicted_max_load for d in args.d]
 
         def rows():
@@ -256,15 +257,11 @@ def _cmd_ballsbins(args):
                 yield args.mode, args.n, args.m, d, args.trials, mean, predicted, args.seed
 
         return lambda: _emit(rows(), MAXLOAD_COLUMNS, args.format, args.out)
-    if args.q is None:
-        raise ValueError("overflow mode needs --q")
-    if args.m is not None:
-        raise ValueError("overflow mode takes no --m")
 
     def rows():
         for q, d in itertools.product(args.q, args.d):
             mean = trial_mean(lambda rng: balls_until_overflow(args.n, q, d, rng))
-            yield args.mode, args.n, q, d, args.trials, mean, 1.0 - mean / (args.n * (q - 1)), args.seed
+            yield args.mode, args.n, q, d, args.trials, mean, loss_factor(mean, args.n, q), args.seed
 
     return lambda: _emit(rows(), OVERFLOW_COLUMNS, args.format, args.out)
 

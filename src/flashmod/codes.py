@@ -38,6 +38,13 @@ def _check_fit(state: CellState, params: CodeParams) -> None:
         raise ValueError(f"state has q={state.q}, code needs q={params.q}")
 
 
+def _take(code, params: CodeParams, kind: CodeKind) -> None:
+    """Give code params of kind, its value count and an empty memo; params of the other kind are refused."""
+    if params.kind is not kind:
+        raise ValueError(f"params describe a {params.kind.value} code")
+    code.params, code._values, code._last = params, params.value_count, _FORGOTTEN
+
+
 class SelfRandomizedCode:
     """Stores a value in 0..2**k-1 using n = 2**k cells.
 
@@ -49,11 +56,7 @@ class SelfRandomizedCode:
     """
 
     def __init__(self, params: CodeParams):
-        if params.kind is not CodeKind.SELF_RANDOMIZED:
-            raise ValueError(f"params describe a {params.kind.value} code")
-        self.params = params
-        self._values = params.value_count
-        self._last = _FORGOTTEN
+        _take(self, params, CodeKind.SELF_RANDOMIZED)
 
     def decode(self, state: CellState) -> int:
         """Value currently stored; a function of the state alone."""
@@ -104,13 +107,9 @@ class LoadBalancingCode:
     """
 
     def __init__(self, params: CodeParams):
-        if params.kind is not CodeKind.LOAD_BALANCING:
-            raise ValueError(f"params describe a {params.kind.value} code")
-        self.params = params
+        _take(self, params, CodeKind.LOAD_BALANCING)
         self.field = FieldSpec(params.k + 1)  # GF(n) for the binary alphabet
         self._n = params.n
-        self._values = params.value_count
-        self._last = _FORGOTTEN
 
     def _coefficients(self, r: int) -> tuple[int, int]:
         """(a_r, b_r) of write count r; encode reads the same schedule inline, on the tables."""
@@ -170,6 +169,4 @@ class LoadBalancingCode:
 
 def make_code(params: CodeParams):
     """Build the code instance the params call for."""
-    if params.kind is CodeKind.SELF_RANDOMIZED:
-        return SelfRandomizedCode(params)
-    return LoadBalancingCode(params)
+    return (SelfRandomizedCode if params.kind is CodeKind.SELF_RANDOMIZED else LoadBalancingCode)(params)

@@ -28,6 +28,7 @@ __all__ = [
     "WRITTEN",
     "ERASE_REQUIRED",
     "cell_increment",
+    "loss_factor",
 ]
 
 #: log2 of the largest cell count, n = 2**24: the largest field GF(n) the
@@ -50,6 +51,11 @@ def read_cells(n, name: str = "n") -> int:
     if not 1 <= n <= 1 << MAX_LOG2_N:
         raise ValueError(f"{name} must be in [1, 2^{MAX_LOG2_N}], got {n}")
     return n
+
+
+def loss_factor(mean, n, q) -> float:
+    """eta = 1 - mean/(n*(q-1)), the share of an n-cell's level increments that mean increments per cycle leave unused."""
+    return 1.0 - mean / (read_cells(n) * (read_count(q, "q", 2) - 1))
 
 
 class CodeKind(Enum):

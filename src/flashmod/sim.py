@@ -2,8 +2,8 @@
 
 Drives a modulation code with i.i.d. inputs through erasure cycles and
 aggregates the counters the storage metrics are built from: incrementing
-rewrites per cycle, the loss factor eta (fraction of the n*(q-1) level
-increments left unused when erasure is forced) and the storage
+rewrites per cycle, the loss factor eta (core.loss_factor: the share of
+the level increments left unused when erasure is forced) and the storage
 efficiency gamma (bits stored per available level increment).
 
 Cycles are independent given their streams, so they may run in any
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import make_code
-from .core import ERASE_REQUIRED, CellState, CodeParams, read_cells, read_count
+from .core import ERASE_REQUIRED, CellState, CodeParams, loss_factor, read_cells, read_count
 
 __all__ = [
     "DistributionSpec",
@@ -188,7 +188,7 @@ class ExperimentStats(NamedTuple):
     cycles: int
     mean_r_inc: float
     mean_r_total: float
-    eta: float  # loss factor, fraction of n*(q-1) increments unused
+    eta: float  # core.loss_factor of mean_r_inc
     gamma: float  # bits stored per available level increment
     seed: int
 
@@ -313,7 +313,7 @@ def run_experiment(
                 cycles=cycles,
                 mean_r_inc=mean_inc,
                 mean_r_total=total / cycles,
-                eta=1.0 - mean_inc / budget,
+                eta=loss_factor(mean_inc, p.n, p.q),
                 gamma=mean_inc * dist.entropy_bits / budget,
                 seed=master_seed,
             )

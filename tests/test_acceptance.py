@@ -20,11 +20,14 @@ from flashmod.ballsbins import (
     balls_until_overflow,
     collision_bound,
     lambert_w0,
+    overflow_survival,
     solve_dc,
+    survival_mean_eta,
     throw_balls,
 )
 from flashmod.cli import run_cli
 from flashmod.codes import make_code
+from flashmod.core import loss_factor
 from flashmod.field import DEFAULT_POLYS, FieldSpec, gf_mul
 from flashmod.sim import DistributionSpec, cycle_rng, cycle_rngs, run_cycle, run_experiment
 
@@ -63,6 +66,14 @@ def max_load_oracle(n, m):
     return mean, math.sqrt(second - mean * mean)
 
 
+def oracle_eta(n, q, d, seed):
+    """(eta, "exact") from the load-profile chain where it has at most 10^4 profiles, else (eta, "mc") over 1000 seeded trials."""
+    if math.comb(n + q - 1, q - 1) <= 10**4:
+        return survival_mean_eta(overflow_survival(n, q, d), n, q)[1], "exact"
+    mean = np.mean([balls_until_overflow(n, q, d, rng) for rng in cycle_rngs(seed, 0, 1000)])
+    return loss_factor(mean, n, q), "mc"
+
+
 def _report(name, ok, detail):
     print(f"\n[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
@@ -70,20 +81,14 @@ def _report(name, ok, detail):
 
 @pytest.fixture(scope="module")
 def fig2_runs():
-    """k=3 sweep over q with 1000 cycles per point, plus matched oracles."""
+    """k=3 sweep over q with 1000 cycles per point, plus matched oracles (oracle_eta) and their sources."""
     uni = DistributionSpec.uniform(8)
     srs = run_experiment([sr_params(3, q) for q in FIG2_Q_GRID], uni, 1000, 1101)
     lbs = run_experiment([lb_params(3, q) for q in FIG2_Q_GRID], uni, 1000, 1202)
     runs = {}
     for q, sr, lb in zip(FIG2_Q_GRID, srs, lbs):
-        d1 = np.mean([balls_until_overflow(8, q, 1, rng) for rng in cycle_rngs(1303, 0, 1000)])
-        d2 = np.mean([balls_until_overflow(16, q, 2, rng) for rng in cycle_rngs(1404, 0, 1000)])
-        runs[q] = {
-            "sr": sr,
-            "lb": lb,
-            "eta_d1": 1.0 - d1 / (8 * (q - 1)),
-            "eta_d2": 1.0 - d2 / (16 * (q - 1)),
-        }
+        (eta_d1, d1), (eta_d2, d2) = oracle_eta(8, q, 1, 1303), oracle_eta(16, q, 2, 1404)
+        runs[q] = {"sr": sr, "lb": lb, "eta_d1": eta_d1, "eta_d2": eta_d2, "d1": d1, "d2": d2}
     return runs
 
 
@@ -132,7 +137,7 @@ def test_criterion_3_eta_matches_random_loading(fig2_runs):
     worst_sr = max(abs(v["sr"].eta - v["eta_d1"]) for v in fig2_runs.values())
     worst_lb = max(abs(v["lb"].eta - v["eta_d2"]) for v in fig2_runs.values())
     detail = ", ".join(
-        f"q={q}: sr {abs(v['sr'].eta - v['eta_d1']):.4f} lb {abs(v['lb'].eta - v['eta_d2']):.4f}"
+        f"q={q}: sr {abs(v['sr'].eta - v['eta_d1']):.4f} ({v['d1']}) lb {abs(v['lb'].eta - v['eta_d2']):.4f} ({v['d2']})"
         for q, v in fig2_runs.items()
     )
     _report(

@@ -630,10 +630,13 @@ def test_ballsbins_flag_validation(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("flashmod.cli.balls_until_overflow", no_trials)
     out = str(tmp_path / "x.csv")
     assert run_cli(["ballsbins", "--mode", "maxload", "--n", "10", "--out", out]) == 2  # no --m
+    assert "maxload mode needs --m" in capsys.readouterr().err
     assert run_cli(["ballsbins", "--mode", "overflow", "--n", "10", "--out", out]) == 2  # no --q
+    assert "overflow mode needs --q" in capsys.readouterr().err
     assert run_cli(["ballsbins", "--mode", "overflow", "--n", "10", "--q", "1", "--out", out]) == 2
     # each mode rejects the other mode's flag instead of dropping it
     assert run_cli(["ballsbins", "--mode", "maxload", "--n", "10", "--m", "10", "--q", "4", "--out", out]) == 2
+    assert "maxload mode takes no --q" in capsys.readouterr().err
     assert run_cli(["ballsbins", "--mode", "overflow", "--n", "8", "--m", "99", "--q", "4", "--out", out]) == 2
     # the max-load prediction needs n >= 3
     assert run_cli(["ballsbins", "--mode", "maxload", "--n", "2", "--m", "4", "--d", "1,2", "--out", out]) == 2

@@ -30,9 +30,9 @@ def lb_params(k, q):
 def test_make_code_dispatch():
     assert isinstance(make_code(sr_params(2, 4)), SelfRandomizedCode)
     assert isinstance(make_code(lb_params(2, 4)), LoadBalancingCode)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="params describe a load-balancing code"):
         SelfRandomizedCode(lb_params(2, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="params describe a self-randomized code"):
         LoadBalancingCode(sr_params(2, 4))
 
 

@@ -16,6 +16,7 @@ from flashmod.core import (
     CodeParams,
     WriteKind,
     cell_increment,
+    loss_factor,
 )
 
 level_lists = st.integers(2, 12).flatmap(
@@ -219,3 +220,24 @@ def test_writes_keep_no_per_cell_objects():
         tracemalloc.stop()
     assert state.level_sum == state.n
     assert peak < 64 * 1024, (held, peak)  # a per-cell object would cost MBs
+
+
+def test_loss_factor_is_each_replaced_expression_bit_for_bit():
+    "run_experiment's eta over total_levels, and the oracles' 1 - mean/(n*(q-1)) at any bin count, numpy means included."
+    codes = [CodeParams(k=k, l=2, q=q, kind=kind) for kind in CodeKind for k, q in ((1, 2), (3, 3), (3, 16), (9, 16), (2, 4096))]
+    grid = [(p.n, p.q, p.total_levels) for p in codes] + [(n, q, n * (q - 1)) for n in (3, 10, 1000) for q in (2, 7, 33)]
+    for n, q, budget in grid:
+        for mean in (0, 0.0, 1.0, 2 / 3, budget / 7, budget * 0.55, budget, np.float64(budget * 0.7), np.float32(1.1)):
+            got = loss_factor(mean, n, q)
+            for old in (1.0 - mean / budget, 1.0 - mean / (n * (q - 1)), 1 - mean / (n * (q - 1))):
+                assert (type(got), float(got).hex()) == (type(old), float(old).hex()), (n, q, mean)
+
+
+def test_loss_factor_refuses_with_the_readers_messages():
+    for n, q, message in ((0, 4, "n must be in [1, 2^24], got 0"), (2**24 + 1, 4, "n must be in [1, 2^24], got 16777217"), (8, 1, "q must be >= 2, got 1")):
+        with pytest.raises(ValueError) as refused:
+            loss_factor(1.0, n, q)
+        assert str(refused.value) == message, (n, q)
+    for n, q in ((8.0, 4), (8, 4.0)):  # a float count is refused, not truncated
+        with pytest.raises(TypeError):
+            loss_factor(1.0, n, q)

@@ -42,7 +42,7 @@ def test_codes_run_without_numpy_until_a_lazy_name_is_read():
 
 def test_star_import_binds_every_module_name_in_order():
     assert flashmod.__all__ == [name for module in MODULES for name in module.__all__]
-    assert len(flashmod.__all__) == len(set(flashmod.__all__)) == 34
+    assert len(flashmod.__all__) == len(set(flashmod.__all__)) == 35
     namespace = {}
     exec("from flashmod import *", namespace)
     assert sorted(n for n in namespace if n != "__builtins__") == sorted(flashmod.__all__)
