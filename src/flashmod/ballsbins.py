@@ -67,6 +67,11 @@ def _place(n: int, d: int, rng: np.random.Generator, balls: int, cap: int) -> li
     lets its least loaded candidate stand in as both members of the
     pair.  Placement stops before the first ball whose bin already holds
     cap balls.  Returns the bin loads; they sum to the balls placed.
+
+    A block is read in place, through memoryviews of its int64 draws, so
+    only a placed ball's bins become Python ints and a run that stops
+    converts nothing past its stop.  A d=2 block holds two int64 arrays
+    of its size (256 KiB at _CHUNK), three while its pairs are sorted.
     """
     d = min(d, n)
     counts = [0] * n
@@ -78,10 +83,10 @@ def _place(n: int, d: int, rng: np.random.Generator, balls: int, cap: int) -> li
             if d == 2:
                 second = rng.integers(0, n - 1, size=size)
                 second += second >= first
-                first, second = np.minimum(first, second), np.maximum(first, second)
+                first, second = np.minimum(first, second), np.maximum(first, second, out=second)
             else:
                 second = first
-            pairs = zip(first.tolist(), second.tolist())
+            pairs = zip(memoryview(first), memoryview(second))
         else:
             size = 1
             best = min(rng.choice(n, size=d, replace=False).tolist(), key=lambda c: (counts[c], c))
@@ -105,7 +110,9 @@ def throw_balls(n: int, m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     d >= n) and lands in the least loaded of them, ties to the lowest bin
     index.  Returns the int64 bin loads, which sum to m.  With a fixed
     generator the result is reproducible bit for bit.  Draws come in
-    blocks of at most _CHUNK balls, so memory does not grow with m.
+    blocks of at most _CHUNK balls, each read in place, so memory does
+    not grow with m and only placed balls become Python ints; a block
+    holds at most three int64 arrays of its size (384 KiB at _CHUNK).
     d values above 2 take a per-ball sampling path and are only meant
     for small experiments.
     """
@@ -117,7 +124,7 @@ def throw_balls(n: int, m: int, d: int, rng: np.random.Generator) -> np.ndarray:
             np.add.at(loads, rng.integers(0, n, size=min(_CHUNK, m - start)), 1)
         return loads
     # no bin can hold m balls before the last one lands, so cap=m never stops
-    return np.asarray(_place(n, d, rng, m, m), dtype=np.int64)
+    return np.fromiter(_place(n, d, rng, m, m), dtype=np.int64, count=n)
 
 
 def balls_until_overflow(n: int, q: int, d: int, rng: np.random.Generator) -> int:

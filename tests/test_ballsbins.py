@@ -40,6 +40,19 @@ def test_throw_balls_conserves_balls_and_reproduces():
         assert a.tolist() == b.tolist()
 
 
+def test_throw_balls_returns_a_new_int64_array():
+    # README promises int64 loads; each call returns its own writable array
+    for n, d in ((30, 1), (30, 2), (30, 3), (1, 2)):
+        a = throw_balls(n, 40, d, cycle_rng(9, d))
+        b = throw_balls(n, 40, d, cycle_rng(9, d))
+        assert type(a) is np.ndarray and a.dtype == np.int64 and a.shape == (n,), (n, d)
+        assert a.flags.writeable and a.flags.owndata and not np.shares_memory(a, b), (n, d)
+        a += 1
+        assert b.sum() == 40 and a.sum() == 40 + n, (n, d)
+    for d in (1, 2, 3):
+        assert type(balls_until_overflow(16, 4, d, cycle_rng(9, d))) is int
+
+
 def test_throw_balls_validates_args():
     rng = cycle_rng(0, 0)
     for n, m, d, message in ((0, 1, 1, "n must be in"), (4, -1, 1, "m must be >= 0, got -1"), (4, 1, 0, "d must be >= 1")):
