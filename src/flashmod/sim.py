@@ -58,19 +58,20 @@ class DistributionSpec:
     Asau, 1974), not a binary search per draw.  [0, 1) is cut into B
     equal buckets, B the power of two at or above 16 per law value and at
     most 2**20 (8 MB).  A draw u falls in bucket j = floor(u*B), so
-    j/B <= u < (j+1)/B, and its value, the count of CDF steps at or below
-    u, is the count at or below j/B plus the steps inside the bucket that
-    u reaches.  A bucket with no step strictly inside holds that count.
-    One with exactly one, at c, also holds c in a second table, of 2.0
-    elsewhere (no draw reaches it), and its draws take the count plus
-    u >= c; that table is kept only when some bucket needs it, at most
-    8 MB more.  Only draws in buckets with two or more steps inside (the
-    coincident steps of a zero mass count apart) are searched.  B is a
-    power of two, so u*B and j/B are exact and every draw equals the
-    search's.
+    j/B <= u < (j+1)/B, and its value is the count of CDF steps at or
+    below u.  _guide[j] is that count at j/B, so _cum[_guide[j]] is the
+    first step above the lower edge: the bucket's one step if it has one
+    strictly inside, and at or past the upper edge if it has none.  A
+    draw starts at _guide[j] and adds u >= _cum[its value]; that is
+    exact in every bucket with at most one step inside, and a law with
+    no step inside any bucket (a uniform one over 2**k values) compares
+    nothing.  Only draws still at or past the next step, in buckets with
+    two or more steps inside (the coincident steps of a zero mass count
+    apart), are searched.  B is a power of two, so u*B and j/B are exact
+    and every draw equals the search's.
     """
 
-    __slots__ = ("probs", "entropy_bits", "_cum", "_buckets", "_guide", "_step", "_split")
+    __slots__ = ("probs", "entropy_bits", "_cum", "_guide", "_compare", "_crowded")
 
     TOLERANCE = 1e-9
 
@@ -98,33 +99,25 @@ class DistributionSpec:
         self._cum = cum
         buckets = min(_GUIDE_MAX, 1 << (_GUIDE_PER_VALUE * p.size - 1).bit_length())
         edges = np.arange(buckets + 1) / buckets
-        guide = cum.searchsorted(edges[:-1], side="right")
-        inside = cum.searchsorted(edges[1:], side="left") - guide  # CDF steps strictly inside each bucket
-        one = inside == 1
-        step = None
-        if one.any():
-            step = np.full(buckets, 2.0)
-            step[one] = cum[guide[one]]  # the bucket's one step: the first above its lower edge
-        split = inside > 1
-        guide[split] = -1  # two or more steps inside the bucket: search its draws
-        self._buckets, self._guide, self._step, self._split = buckets, guide, step, bool(split.any())
+        self._guide = cum.searchsorted(edges[:-1], side="right")
+        inside = cum.searchsorted(edges[1:], side="left") - self._guide  # CDF steps strictly inside each bucket
+        self._compare, self._crowded = bool(inside.any()), bool((inside > 1).any())
 
     @classmethod
     def uniform(cls, size: int) -> "DistributionSpec":
+        """The uniform law over {0, ..., size-1}, for an int size in [2, 2**24], read before allocating."""
         size = read_cells(read_count(size, "size", 1), "size")  # no law a code stores is larger
         return cls(np.full(size, 1.0 / size))
 
     def sample_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count i.i.d. draws as an intp array, one rng.random(count) call."""
         u = rng.random(count)
-        j = (u * self._buckets).astype(np.intp)
-        out = self._guide.take(j)
-        # a law with no one-step bucket (a uniform one over 2**k values) compares nothing
-        if self._step is not None:
-            out += u >= self._step.take(j)
-        if self._split:
-            split = np.flatnonzero(out < 0)
-            out[split] = self._cum.searchsorted(u[split], side="right")
+        out = self._guide.take((u * len(self._guide)).astype(np.intp))
+        if self._compare:
+            out += u >= self._cum.take(out)
+        if self._crowded:
+            far = np.flatnonzero(u >= self._cum.take(out))
+            out[far] = self._cum.searchsorted(u[far], side="right")
         return out
 
 

@@ -159,43 +159,44 @@ class TestSampling:
     @example(law=[0.7] + [0.3 / 1022] * 1022 + [0.0], seed=4)
     @example(law=[0.95] + [0.05 / 1022] * 1022 + [0.0], seed=5)
     @example(law=[0.3, 0.0, 0.7], seed=6)
+    @example(law=[0.5, 0.5 - 2e-12, 1e-12, 1e-12, 0.0], seed=7)
     def test_guide_table_equals_the_search(self, law, seed):
         "Every draw equals the inverse-CDF binary search, at each CDF step and just below it."
         dist = DistributionSpec(law)
+        buckets = dist._guide.size
+        edges = np.arange(buckets + 1) / buckets
+        # each bucket holds the count of CDF steps at or below its lower edge, never a mark
+        assert dist._guide.tolist() == dist._cum.searchsorted(edges[:-1], side="right").tolist()
         below_one = dist._cum[dist._cum < 1.0]
         # a step on a bucket edge (every step of a uniform law over 2**k values)
         # is inside none; a bucket with one step inside compares its draws with
         # it, one with two or more (a zero mass's two coincident steps count
-        # apart) is searched
-        scaled = below_one * dist._buckets
+        # apart) searches the draws that reach its second
+        scaled = below_one * buckets
         inside = scaled % 1 != 0
         at = scaled[inside].astype(int)  # the bucket of each step strictly inside one
-        buckets, steps = np.unique(at, return_counts=True)
-        step_in = dict(zip(at.tolist(), below_one[inside].tolist()))
-        threshold = {j: step_in[j] for j in buckets[steps == 1].tolist()}
-        assert set(np.flatnonzero(dist._guide < 0).tolist()) == set(buckets[steps > 1].tolist())
-        assert dist._split == bool((steps > 1).any())
-        assert (dist._step is not None) == bool(threshold)
-        if threshold:
-            marked = np.flatnonzero(dist._step < 2.0)
-            assert dict(zip(marked.tolist(), dist._step[marked].tolist())) == threshold
+        crossed, steps = np.unique(at, return_counts=True)
+        one = np.isin(at, crossed[steps == 1])
+        # the first step above a one-step bucket's lower edge is its step
+        assert dist._cum[dist._guide[at[one]]].tolist() == below_one[inside][one].tolist()
+        assert (dist._compare, dist._crowded) == (bool(inside.any()), bool((steps > 1).any()))
         keys = np.concatenate(([0.0], below_one, np.nextafter(below_one, 0.0), [np.nextafter(1.0, 0.0)]))
         assert_draws_are_searched(dist, KeyRng(keys), keys)
         assert_draws_are_searched(dist, cycle_rng(seed, 0), cycle_rng(seed, 0).random(2000))
 
     @pytest.mark.parametrize(
-        "law, threshold, searched",
+        "law, compare, crowded",
         [
             ([0.7] + [0.3 / 1022] * 1022 + [0.0], True, False),  # the benchmark's hot law: no search
             ([0.95] + [0.05 / 1022] * 1022 + [0.0], True, True),  # steps 4.9e-5 apart in buckets 6.1e-5 wide
-            ([0.3, 0.0, 0.7], False, True),  # both steps at 0.3 fall inside bucket 19 of 64
+            ([0.3, 0.0, 0.7], True, True),  # both steps at 0.3 fall inside bucket 19 of 64
             ([1 / 1024] * 1024, False, False),  # every step on a bucket edge
         ],
     )
-    def test_guide_table_paths(self, law, threshold, searched):
-        "Which of the two exact paths a law's draws take: a compare with a bucket's one step, or the search."
+    def test_guide_table_paths(self, law, compare, crowded):
+        "Which rungs of the ladder a law's draws climb: the compare with the next step, the search past it."
         dist = DistributionSpec(law)
-        assert (dist._step is not None, dist._split) == (threshold, searched)
+        assert (dist._compare, dist._crowded) == (compare, crowded)
 
     def test_guide_table_is_capped(self):
         "A law of more than 2**16 values fills the capped table and still draws as the search does."
@@ -218,7 +219,7 @@ class TestSampling:
     def test_split_draws_continue_one_stream(self, a, b, seed):
         "Draws of a then b equal draws of a + b: what lets run_cycle's blocks and a replayed tape agree."
         dist = DistributionSpec([0.95] + [0.05 / 14] * 14 + [0.0])  # steps 0.0036 apart, buckets 0.0039 wide
-        assert dist._step is not None and dist._split  # both the compare and the search run
+        assert dist._compare and dist._crowded  # both the compare and the search run
         split = cycle_rng(seed, 0)
         parts = np.concatenate((dist.sample_block(split, a), dist.sample_block(split, b)))
         assert parts.tolist() == dist.sample_block(cycle_rng(seed, 0), a + b).tolist()
