@@ -292,7 +292,7 @@ def _roundtrip_point(params: CodeParams, writes: int, seed: int, stream: int) ->
     law, rng = DistributionSpec.uniform(params.value_count), cycle_rng(seed, stream)
     state = CellState.zeros(params.n, params.q)
     failures = done = 0
-    for x in itertools.chain.from_iterable(_blocks(law, rng, params.n)):
+    for x in itertools.chain.from_iterable(_blocks(law, rng, params)):
         if code.encode(state, x) is ERASE_REQUIRED:
             state = CellState.zeros(params.n, params.q)  # new cycle, write not counted
             continue

@@ -8,10 +8,9 @@ efficiency gamma (bits stored per available level increment).
 
 Cycles are independent given their streams, so they may run in any
 order or concurrently; aggregation is a plain mean, which is order
-independent.  A run reads one stream per cycle index, forward and
-once, in the blocks of _blocks: cycle i's inputs are drawn onto an
-input tape and replayed to every q point in ascending q, a lone run
-being a one-point sweep; all but the last point keep what they draw.
+independent.  Cycle i reads stream i of the master seed, forward and
+in the blocks of _blocks; each point of a q sweep reads it from its
+start, so a point's stats are those of a lone run at its q.
 """
 
 import math
@@ -38,8 +37,6 @@ __all__ = [
 ]
 
 _SAMPLE_BLOCK = 512
-# inputs an _InputTape keeps per cycle: 2**20 listed ints, at most ~36 MB
-_KEEP = 1 << 20
 # DistributionSpec's guide-table buckets per law value, and their cap
 _GUIDE_PER_VALUE, _GUIDE_MAX = 16, 1 << 20
 
@@ -94,7 +91,9 @@ class DistributionSpec:
         self.entropy_bits = float(-(positive * np.log2(positive)).sum())
         cum = np.cumsum(p)
         # rounding can leave the sum short of 1 before trailing zero masses,
-        # and a draw above it would land on a value the law never draws
+        # and a draw above it would land on a value the law never draws; a
+        # sum past 1 is cut to it first, so the CDF stays sorted
+        np.minimum(cum, 1.0, out=cum)
         cum[np.flatnonzero(p)[-1] :] = 1.0
         self._cum = cum
         buckets = min(_GUIDE_MAX, 1 << (_GUIDE_PER_VALUE * p.size - 1).bit_length())
@@ -186,49 +185,21 @@ class ExperimentStats(NamedTuple):
     seed: int
 
 
-def _blocks(dist: DistributionSpec, rng: np.random.Generator, n: int, stop=math.inf):
-    """dist's draws on rng as lists, in blocks doubling from 2n up to _SAMPLE_BLOCK.
+def _blocks(dist: DistributionSpec, rng: np.random.Generator, params: CodeParams):
+    """dist's draws on rng as lists, in blocks doubling up to _SAMPLE_BLOCK.
 
-    The one block rule of every input draw, so a short cycle samples few
-    unused inputs; blocks come while their total stays at most stop.
+    The one block rule of every input draw.  The first block holds
+    min(total_levels + 1, _SAMPLE_BLOCK) draws: the most incrementing
+    writes a cycle can make, plus its erase, so a short cycle samples
+    few unused inputs.
     """
-    block, total = min(2 * n, _SAMPLE_BLOCK), 0
-    while total + block <= stop:
+    block = min(params.total_levels + 1, _SAMPLE_BLOCK)
+    while True:
         yield dist.sample_block(rng, block).tolist()
-        total, block = total + block, min(2 * block, _SAMPLE_BLOCK)
+        block = min(2 * block, _SAMPLE_BLOCK)
 
 
-class _InputTape:
-    """One cycle's inputs, drawn once and replayed to each of readers.
-
-    The tape holds one _blocks prefix of rng, capped at _KEEP inputs.
-    A reader replays the kept blocks, then pulls the prefix on, keeping
-    what it pulls unless it is the last, so a later reader draws only
-    past the longest prefix any earlier one read.  The first reader to
-    run the prefix out saves rng's state there; every reader past the cap
-    restores it and draws on through _blocks, keeping nothing.  Split
-    draws continue one stream, so each reads what a lone run_cycle would.
-    """
-
-    __slots__ = ("_dist", "_rng", "_n", "_readers", "_kept", "_prefix", "_resume")
-
-    def __init__(self, dist: DistributionSpec, rng: np.random.Generator, n: int, readers: int):
-        self._dist, self._rng, self._n, self._readers = dist, rng, n, readers  # _readers: replays yet to start
-        self._kept, self._prefix, self._resume = [], _blocks(dist, rng, n, _KEEP), None  # _resume: rng's state at the cap
-
-    def replay(self):
-        self._readers -= 1
-        yield from self._kept
-        for values in self._prefix:  # not yield from: a reader that stops leaves the prefix open
-            if self._readers:
-                self._kept.append(values)
-            yield values
-        self._resume = self._resume or self._rng.bit_generator.state  # counter, buffer and half-used uint32
-        self._rng.bit_generator.state = self._resume  # restored mid-cycle: safe, as cycle_rngs' next index resets rng
-        yield from _blocks(self._dist, self._rng, self._n)
-
-
-def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator | _InputTape) -> CycleStats:
+def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator) -> CycleStats:
     """Write i.i.d. inputs onto a fresh n-cell until an erase is forced.
 
     Writes that increment a cell count toward r_inc, which is therefore
@@ -238,20 +209,19 @@ def run_cycle(code, dist: DistributionSpec, rng: np.random.Generator | _InputTap
     r_total is that write's position in the cycle, read once from its
     block's iterator: the loop counts no write.  Every write, that one
     included, is exactly one code.encode call.
-    rng is the cycle's Generator, read through _blocks and dropped as the
-    cycle goes, or the _InputTape run_experiment passes; both read the
-    same inputs.  The cycle ends because DistributionSpec admits only
-    laws that draw two or more values.
+    rng is the cycle's Generator, read on from where it stands through
+    _blocks, whose blocks are dropped as the cycle goes.  The cycle ends
+    because DistributionSpec admits only laws that draw two or more
+    values.
     """
     params = code.params
     if len(dist.probs) != params.value_count:
         raise ValueError(f"dist has {len(dist.probs)} entries, code stores {params.value_count} values")
-    blocks = rng.replay() if isinstance(rng, _InputTape) else _blocks(dist, rng, params.n)
     state = CellState.zeros(params.n, params.q)
     encode = code.encode
     erase = ERASE_REQUIRED  # a local read is cheaper than a global one
     done = 0  # inputs in the finished blocks
-    for values in blocks:  # endless: only the erase ends the cycle
+    for values in _blocks(dist, rng, params):  # endless: only the erase ends the cycle
         left = iter(values)
         for x in left:
             if encode(state, x) is erase:
@@ -271,33 +241,27 @@ def run_experiment(
     params is one CodeParams, which returns one ExperimentStats, or a
     q sweep: a sequence of CodeParams of one code kind and k, which
     returns a list of one ExperimentStats per point, in order.  Any other
-    difference raises ValueError.  Cycle i consumes the Philox stream
-    cycle_rng(master_seed, i), drawn from cycle_rngs, forward and once,
-    onto an input tape replayed to each point in ascending q, repeats in
-    their order.  Encoding reads q only at a full cell, so a larger q
-    reads every input a smaller one reads: the last point keeps nothing,
-    the others what they draw, up to _KEEP = 2**20 inputs, and a point
-    past a full tape resumes the stream from the state saved there.  Each
-    point runs its own run_cycle per cycle, from a fresh CellState, so
-    its stats equal a lone run at its q, and a repeat with the same seed
-    reproduces every cycle.  eta and gamma are computed from incrementing
-    writes only; same-value no-ops show up in mean_r_total.
+    difference raises ValueError.  Points run in the caller's order,
+    each through every cycle: cycle i reads the Philox stream
+    cycle_rng(master_seed, i), taken from cycle_rngs, from its start, in
+    a run_cycle of its own from a fresh CellState.  So a point's stats
+    equal a lone run at its q whatever the other points are, and a
+    repeat with the same seed reproduces every cycle.  eta and gamma are
+    computed from incrementing writes only; same-value no-ops show up in
+    mean_r_total.
     """
     cycles, master_seed = _read_streams(cycles, "cycles", 1), read_count(master_seed, "master_seed", 0)
     points = [params] if isinstance(params, CodeParams) else list(params)
     if not points or any((p.kind, p.k) != (points[0].kind, points[0].k) for p in points):
         raise ValueError("a sweep needs one or more points of one code kind and k; only q may differ")
     codes = [make_code(p) for p in points]
-    total_inc, total_all = [0] * len(points), [0] * len(points)
-    ascending = sorted(range(len(points)), key=lambda j: points[j].q)  # stable: repeats keep their order
-    for rng in cycle_rngs(master_seed, 0, cycles):
-        inputs = _InputTape(dist, rng, points[0].n, len(points))
-        for j in ascending:
-            stats = run_cycle(codes[j], dist, inputs)
-            total_inc[j] += stats.r_inc
-            total_all[j] += stats.r_total
     sweep = []
-    for p, inc, total in zip(points, total_inc, total_all):
+    for p, code in zip(points, codes):
+        inc = total = 0
+        for rng in cycle_rngs(master_seed, 0, cycles):
+            stats = run_cycle(code, dist, rng)
+            inc += stats.r_inc
+            total += stats.r_total
         mean_inc = inc / cycles
         budget = p.total_levels
         sweep.append(

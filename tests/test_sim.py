@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from test_codes import reference_lb_encode, reference_sr_encode
 
 import flashmod.sim as sim
-from flashmod import field
+from flashmod import cli, field
 from flashmod.codes import make_code
 from flashmod.core import ERASE_REQUIRED, NOOP, WRITTEN, CellState, CodeKind, CodeParams
 from flashmod.field import FieldSpec
@@ -160,9 +160,11 @@ class TestSampling:
     @example(law=[0.95] + [0.05 / 1022] * 1022 + [0.0], seed=5)
     @example(law=[0.3, 0.0, 0.7], seed=6)
     @example(law=[0.5, 0.5 - 2e-12, 1e-12, 1e-12, 0.0], seed=7)
+    @example(law=[0.5, 0.5 + 5e-10, 1e-11], seed=8)  # sums past 1 inside the tolerance
     def test_guide_table_equals_the_search(self, law, seed):
         "Every draw equals the inverse-CDF binary search, at each CDF step and just below it."
         dist = DistributionSpec(law)
+        assert np.all(np.diff(dist._cum) >= 0)  # the search and the guide read a sorted CDF
         buckets = dist._guide.size
         edges = np.arange(buckets + 1) / buckets
         # each bucket holds the count of CDF steps at or below its lower edge, never a mark
@@ -217,7 +219,7 @@ class TestSampling:
     @example(a=1, b=0, seed=0)
     @example(a=511, b=1024, seed=1)
     def test_split_draws_continue_one_stream(self, a, b, seed):
-        "Draws of a then b equal draws of a + b: what lets run_cycle's blocks and a replayed tape agree."
+        "Draws of a then b equal draws of a + b: what lets any block lengths read one stream's inputs."
         dist = DistributionSpec([0.95] + [0.05 / 14] * 14 + [0.0])  # steps 0.0036 apart, buckets 0.0039 wide
         assert dist._compare and dist._crowded  # both the compare and the search run
         split = cycle_rng(seed, 0)
@@ -289,8 +291,8 @@ def hot_law(size):
 )
 @example(kind=CodeKind.LOAD_BALANCING, k=10, q=16, hot=True, seed=7, index=3)
 @example(kind=CodeKind.SELF_RANDOMIZED, k=10, q=4, hot=False, seed=8, index=0)
-# n = 2 and n = 4 cells: run_cycle's blocks double from 2n, so these cycles
-# cross several block boundaries while the reference draws 512 at a time
+# n = 2 and n = 4 cells: run_cycle's first blocks hold 31 and 61 inputs, so
+# these cycles cross block boundaries while the reference draws 512 at a time
 @example(kind=CodeKind.SELF_RANDOMIZED, k=1, q=16, hot=False, seed=9, index=1)
 @example(kind=CodeKind.LOAD_BALANCING, k=1, q=16, hot=True, seed=10, index=2)
 def test_run_cycle_matches_reference_loop(kind, k, q, hot, seed, index):
@@ -317,7 +319,8 @@ def test_run_cycle_counts_to_the_erase_at_every_block_edge(k):
     "r_total is the erase write's position, at block edges and on both sides of the first full block."
     params = CodeParams(k=k, l=2, q=4, kind=CodeKind.SELF_RANDOMIZED)
     dist = uniform(k)
-    starts, block, start = [], 2 * params.n, 0  # blocks 2n, 4n, ... up to sim._SAMPLE_BLOCK
+    # blocks double from the level budget plus the erase up to sim._SAMPLE_BLOCK
+    starts, block, start = [], params.total_levels + 1, 0
     while block < sim._SAMPLE_BLOCK:
         starts.append(start)
         start, block = start + block, 2 * block
@@ -329,11 +332,34 @@ def test_run_cycle_counts_to_the_erase_at_every_block_edge(k):
         code = EraseAt(params, t)
         assert run_cycle(code, dist, cycle_rng(3, t)) == (0, t)
         assert code.calls == t + 1
-        tape = sim._InputTape(dist, cycle_rng(3, t), params.n, 2)
-        for _ in range(2):
-            code = EraseAt(params, t)
-            assert run_cycle(code, dist, tape) == (0, t)
-            assert code.calls == t + 1
+
+
+@pytest.mark.parametrize(
+    "kind, k, q, first",
+    [
+        (CodeKind.SELF_RANDOMIZED, 3, 2, 9),
+        (CodeKind.SELF_RANDOMIZED, 3, 32, 249),
+        (CodeKind.LOAD_BALANCING, 3, 32, 497),
+        (CodeKind.LOAD_BALANCING, 9, 16, 512),
+    ],
+)
+def test_first_block_is_the_level_budget(kind, k, q, first, monkeypatch):
+    "A cycle's first draw block holds its level budget n(q-1) plus the erase, at most 512; the next ones double."
+    sizes = []
+    sample_block = DistributionSpec.sample_block
+
+    def counted(dist, rng, count):
+        sizes.append(count)
+        return sample_block(dist, rng, count)
+
+    monkeypatch.setattr(DistributionSpec, "sample_block", counted)
+    params = CodeParams(k=k, l=2, q=q, kind=kind)
+    run_cycle(make_code(params), uniform(k), cycle_rng(1, 0))
+    assert sizes[0] == first
+    assert sizes[1:] == [min(first << i, 512) for i in range(1, len(sizes))]
+    sizes.clear()
+    assert cli._roundtrip_point(params, 1, 1, 0) == 0
+    assert sizes == [first]
 
 
 class TestRunExperiment:
@@ -404,72 +430,6 @@ def test_sweep_equals_a_lone_run_per_point(kind, k, qs, hot, cycles, seed):
     assert [s._asdict() for s in sweep] == [run_experiment(p, dist, cycles, seed)._asdict() for p in points]
 
 
-@pytest.mark.parametrize("kind", list(CodeKind))
-def test_sweep_past_the_kept_prefix(kind, monkeypatch):
-    """With the cap low, points read past the kept inputs and still equal lone runs; no tape keeps more than the cap.
-
-    A point past the cap resumes the stream from the state the tape saved, so no stream is derived twice.
-    """
-    cap = 40
-    monkeypatch.setattr(sim, "_KEEP", cap)
-
-    def derive_again(*args):
-        raise AssertionError("a sweep derived a cycle's stream a second time")
-
-    monkeypatch.setattr(sim, "cycle_rng", derive_again)
-    kept, past = [], []
-    lone_cycle = sim.run_cycle
-
-    def run_cycle(code, dist, rng):
-        stats = lone_cycle(code, dist, rng)
-        kept.append(sum(map(len, rng._kept)))
-        past.append(stats.r_total + 1 > kept[-1])  # the erase write is read too
-        return stats
-
-    monkeypatch.setattr(sim, "run_cycle", run_cycle)
-    points = sweep_points(kind, 2, (64, 3, 64, 16))
-    dist = hot_law(4)
-    sweep = run_experiment(points, dist, 6, 5)
-    monkeypatch.undo()
-    assert sweep == [run_experiment(p, dist, 6, 5) for p in points]
-    assert len(kept) == 6 * len(points) and max(kept) <= cap
-    assert sum(past) >= 6 * 2  # the q=64 points of every cycle, at least
-
-
-@pytest.mark.parametrize("kind", list(CodeKind))
-def test_the_last_reader_keeps_nothing(kind, monkeypatch):
-    """Every point but the last keeps the inputs it draws; the last, a lone run's one point included, keeps none.
-
-    Points run in ascending q, so the last reads furthest, and keeping its inputs would hold the longest prefix for
-    nothing; a descending or shuffled sweep keeps, call for call, what the ascending one keeps.
-    """
-    kept, read = [], []
-    lone_cycle = sim.run_cycle
-
-    def run_cycle(code, dist, rng):
-        stats = lone_cycle(code, dist, rng)
-        kept.append(sum(map(len, rng._kept)))
-        read.append(stats.r_total + 1)  # the erase write is read too
-        return stats
-
-    monkeypatch.setattr(sim, "run_cycle", run_cycle)
-    cycles, dist = 5, hot_law(4)
-    points = sweep_points(kind, 2, (2, 8, 64))
-    run_experiment(points, dist, cycles, 3)
-    for i in range(0, 3 * cycles, 3):
-        assert kept[i] >= read[i] and kept[i + 1] >= read[i + 1]  # the first two keep what they read
-        assert kept[i + 2] == kept[i + 1] < read[i + 2]  # the last reads past them and adds nothing
-    ascending = list(kept)
-    for qs in ((64, 8, 2), (8, 64, 2)):
-        kept.clear()
-        run_experiment(sweep_points(kind, 2, qs), dist, cycles, 3)
-        assert kept == ascending, qs
-    kept.clear()
-    for p in points:
-        run_experiment(p, dist, cycles, 3)
-    assert kept == [0] * 3 * cycles
-
-
 def test_a_sweep_reads_one_table_set(monkeypatch):
     "Every load-balancing code of a q sweep reads its degree's one exp and log list after its first write."
     codes = []
@@ -511,7 +471,7 @@ def test_sweep_memory_does_not_grow_with_its_points():
 @example(kind=CodeKind.LOAD_BALANCING, k=1, qs=[2, 3], hot=True, seed=0, index=0)
 @example(kind=CodeKind.SELF_RANDOMIZED, k=5, qs=[31, 32], hot=False, seed=1, index=1)
 def test_reads_grow_with_q(kind, k, qs, hot, seed, index):
-    "On one stream a cycle at a larger q reads every input a smaller q reads: what lets a sweep run in ascending q."
+    "On one stream a cycle at a larger q reads every input a smaller q reads: what a one-pass q sweep would rest on."
     dist = hot_law(2**k) if hot else uniform(k)
     low, high = (run_cycle(make_code(p), dist, cycle_rng(seed, index)) for p in sweep_points(kind, k, qs))
     assert low.r_inc <= high.r_inc and low.r_total <= high.r_total
