@@ -56,6 +56,7 @@ SIMULATE_COLUMNS = (
     "seed",
 )
 
+_CODE_NAMES = tuple(sorted(kind.value for kind in CodeKind))  # --code's choices, and roundtrip's "both"
 MAXLOAD_COLUMNS = ("mode", "n", "m", "d", "trials", "mean_max_load", "predicted_max_load", "seed")
 OVERFLOW_COLUMNS = ("mode", "n", "q", "d", "trials", "mean_rewrites", "eta_oracle", "seed")
 
@@ -167,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Flash modulation code experiments and balls-into-bins analytics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    codes = sorted(kind.value for kind in CodeKind)
 
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument(
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[seeded, output], help="sweep q for one code and record eta/gamma")
     sim.set_defaults(handler=_cmd_simulate)
-    sim.add_argument("--code", choices=codes, default="self-randomized")
+    sim.add_argument("--code", choices=_CODE_NAMES, default="self-randomized")
     sim.add_argument("--k", type=int, required=True, help="variables per group")
     sim.add_argument("--q", type=_commas(int), required=True, help="comma-separated q sweep, e.g. 2,4,8,16,32")
     sim.add_argument("--cycles", type=_integer(_read_streams, "cycles", 1), default=1000, help="erasure cycles per sweep point")
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rt = sub.add_parser("roundtrip", parents=[seeded], help="random-write decodability check")
     rt.set_defaults(handler=_cmd_roundtrip)
-    rt.add_argument("--code", choices=("both", *codes), default="both")
+    rt.add_argument("--code", choices=("both", *_CODE_NAMES), default="both")
     rt.add_argument("--k", type=_commas(int), default="1,2,3", help="comma-separated k values")
     rt.add_argument("--q", type=_commas(int), default="4,8,16", help="comma-separated q values")
     rt.add_argument("--writes", type=_integer(read_count, "writes", 1), default=10000, help="writes per (code, k, q) point")
@@ -304,7 +304,7 @@ def _roundtrip_point(params: CodeParams, writes: int, seed: int, stream: int) ->
 
 
 def _cmd_roundtrip(args):
-    names = sorted(kind.value for kind in CodeKind) if args.code == "both" else [args.code]
+    names = _CODE_NAMES if args.code == "both" else [args.code]
     points = [CodeParams(k=k, l=2, q=q, kind=CodeKind(name)) for name in names for k in args.k for q in args.q]
 
     def run() -> int:

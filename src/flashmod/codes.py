@@ -10,16 +10,16 @@ value) of its last write, so a cycle works out its stored value once, on
 its first write, and a same-value write costs one comparison.  That is
 sound because cell_increment, the only way a CellState's sums change,
 adds exactly one to the level sum.  An erase forgets the state (no
-finished cycle is kept alive).  The memo is one tuple, read in one
-unpack and written in one store, so threads sharing a code only miss.
-A miss reads _stored, which is decode's own function, bound in the class
-body: it checks the state's q and cell count and works out the value, and
-a decode replaced from outside (a tracer, a deliberately broken decoder)
-leaves what encode writes unchanged, so a round trip still tests it.  A
-hit is the same object, already checked.  The value's range is checked on
-every write that raises a cell or hits an erase, before the state is
-touched; a same-value write is in range by construction, as the value it
-equals is one the state stores.
+finished cycle is kept alive).  The memo is one tuple, read in one unpack
+and written in one store, so threads sharing a code only miss.  A code is
+complete when built, so a miss only reads _stored, decode's own function,
+bound in the class body: it checks the state's q and cell count and works
+out the value, and a decode replaced from outside (a tracer, a
+deliberately broken decoder) leaves what encode writes unchanged, so a
+round trip still tests it.  A hit is the same object, already checked.
+The value's range is checked on every write that raises a cell or hits an
+erase, before the state is touched; a same-value write is in range by
+construction, as the value it equals is one the state stores.
 """
 
 from .core import ERASE_REQUIRED, NOOP, CellState, CodeKind, CodeParams, WriteKind, cell_increment
@@ -93,7 +93,8 @@ class LoadBalancingCode:
     with the running write count, each shifted copy of the value names
     one candidate cell, and the less charged candidate is incremented.
     Charge therefore spreads like two-random-choice ball throwing while
-    the value stays decodable from the state alone.
+    the value stays decodable from the state alone.  A code binds GF(n)'s
+    tables when built, so encode's memo miss only works out the value.
 
     Write count r uses the map v -> a_r*v + b_r with a_r = r mod (2**k - 1)
     + 1, never 0, and b_r = r mod 2**k.  A state with level sum r and
@@ -101,15 +102,15 @@ class LoadBalancingCode:
     Write r of value x names one candidate per copy c in (x, x | 2**k):
     ((a_r*c + b_r) - w) mod n, the map taken in GF(n), whose + is XOR.
     Products distribute over XOR, so with u = a_r*x + b_r the second is
-    ((u ^ a_r*2**k) - w) mod n, as encode forms it, and the pairs of the
-    2**k values split the n cells into a perfect matching fixed by
-    (a_r, b_r, w).
+    ((u ^ a_r*2**k) - w) mod n, as encode forms it; the 2**k values' pairs
+    split the n cells into a perfect matching fixed by (a_r, b_r, w).
     """
 
     def __init__(self, params: CodeParams):
         _take(self, params, CodeKind.LOAD_BALANCING)
         self.field = FieldSpec(params.k + 1)  # GF(n) for the binary alphabet
         self._n = params.n
+        self._tables = self.field.exp, self.field.log, params.k  # the degree's shared tables
 
     def _coefficients(self, r: int) -> tuple[int, int]:
         """(a_r, b_r) of write count r; encode reads the same schedule inline, on the tables."""
@@ -145,7 +146,6 @@ class LoadBalancingCode:
         if held is not state or at != r:
             current = self._stored(state)
             self._last = (state, r, current)
-            self._tables = self.field.exp, self.field.log, self.params.k  # the degree's shared tables
         if current == value:
             return NOOP
         values = self._values

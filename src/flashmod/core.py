@@ -143,6 +143,7 @@ class CellState:
     def __init__(self, levels, q: int):
         q = read_count(q, "q", 2)
         levels = [index(v) for v in levels]
+        read_cells(len(levels))
         for i, v in enumerate(levels):
             if not 0 <= v <= q - 1:
                 raise ValueError(f"cell {i} level {v} outside [0, {q - 1}]")

@@ -50,10 +50,10 @@ class FieldSpec(Record):
 
     As the polynomial is primitive, x generates the multiplicative group,
     so products and inverses are lookups in exp (antilog) and log tables.
-    These belong to the degree and are lazy: the first product or inverse
-    of degree m builds its one set, which every FieldSpec of m then reads
-    for the life of the process (m=24's is ~1.5 GB).  The deterministic
-    build lets racing threads get equal tables and share a FieldSpec.
+    These belong to the degree and are lazy: the first product, inverse
+    or load-balancing code of degree m builds its one set, which every
+    FieldSpec of m then reads for the life of the process (m=24's is
+    ~1.5 GB).  Deterministic builds let racing threads share a FieldSpec.
     """
 
     __slots__ = _fields = ("m",)

@@ -41,6 +41,19 @@ _SAMPLE_BLOCK = 512
 _GUIDE_PER_VALUE, _GUIDE_MAX = 16, 1 << 20
 
 
+def _finite_floats(values, name: str, entries: str) -> np.ndarray:
+    """values as a new non-empty 1-d float array of finite entries; an int past float range is not finite."""
+    try:
+        out = np.array(values, dtype=float)
+    except OverflowError:  # an int past float range reads as not finite
+        out = np.array([math.inf])
+    if out.ndim != 1 or out.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d sequence")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{entries} must be finite")
+    return out
+
+
 class DistributionSpec:
     """Categorical i.i.d. input law over {0, ..., len(probs)-1}.
 
@@ -73,11 +86,7 @@ class DistributionSpec:
     TOLERANCE = 1e-9
 
     def __init__(self, probs):
-        p = np.array(probs, dtype=float)
-        if p.ndim != 1 or p.size < 1:
-            raise ValueError("probs must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
+        p = _finite_floats(probs, "probs", "probabilities")
         if np.any(p < 0):
             raise ValueError("probabilities must be non-negative")
         total = float(p.sum())
@@ -242,28 +251,26 @@ def run_experiment(
     q sweep: a sequence of CodeParams of one code kind and k, which
     returns a list of one ExperimentStats per point, in order.  Any other
     difference raises ValueError.  Points run in the caller's order,
-    each through every cycle: cycle i reads the Philox stream
-    cycle_rng(master_seed, i), taken from cycle_rngs, from its start, in
-    a run_cycle of its own from a fresh CellState.  So a point's stats
-    equal a lone run at its q whatever the other points are, and a
-    repeat with the same seed reproduces every cycle.  eta and gamma are
-    computed from incrementing writes only; same-value no-ops show up in
-    mean_r_total.
+    each with a code built at its turn, through every cycle: cycle i
+    reads the Philox stream cycle_rng(master_seed, i), taken from
+    cycle_rngs, from its start, in a run_cycle of its own from a fresh
+    CellState.  So a point's stats equal a lone run at its q whatever the
+    other points are, and a repeat with the same seed reproduces every
+    cycle.  eta and gamma count incrementing writes only, over the
+    point's total_levels; same-value no-ops show up in mean_r_total.
     """
     cycles, master_seed = _read_streams(cycles, "cycles", 1), read_count(master_seed, "master_seed", 0)
     points = [params] if isinstance(params, CodeParams) else list(params)
     if not points or any((p.kind, p.k) != (points[0].kind, points[0].k) for p in points):
         raise ValueError("a sweep needs one or more points of one code kind and k; only q may differ")
-    codes = [make_code(p) for p in points]
     sweep = []
-    for p, code in zip(points, codes):
-        inc = total = 0
+    for p in points:
+        code, inc, total = make_code(p), 0, 0
         for rng in cycle_rngs(master_seed, 0, cycles):
             stats = run_cycle(code, dist, rng)
             inc += stats.r_inc
             total += stats.r_total
         mean_inc = inc / cycles
-        budget = p.total_levels
         sweep.append(
             ExperimentStats(
                 params=p,
@@ -271,7 +278,7 @@ def run_experiment(
                 mean_r_inc=mean_inc,
                 mean_r_total=total / cycles,
                 eta=loss_factor(mean_inc, p.n, p.q),
-                gamma=mean_inc * dist.entropy_bits / budget,
+                gamma=mean_inc * dist.entropy_bits / p.total_levels,
                 seed=master_seed,
             )
         )
@@ -308,18 +315,10 @@ def min_of_n_expectation(samples, n: int) -> float:
     group's stopping-time samples into the expected first-failure time
     of n groups running side by side.
     """
-    try:
-        values = np.asarray(samples, dtype=float)
-    except OverflowError:  # an int past float range
-        raise ValueError("samples must be finite") from None
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("samples must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("samples must be finite")
+    values = _finite_floats(samples, "samples", "samples")
     n = read_count(n, "n", 1)
     if n > sys.float_info.max:
         raise ValueError(f"n must be within float range, got {n}")
-    values = np.sort(values)
-    m = values.size
-    survive = (np.arange(m - 1, 0, -1) / m) ** n
+    values.sort()
+    survive = (np.arange(values.size - 1, 0, -1) / values.size) ** n
     return float(values[0] + np.diff(values) @ survive)

@@ -96,8 +96,10 @@ def test_state_validation():
         CellState([-1], 4)
     with pytest.raises(ValueError, match="q must be >= 2, got 1"):
         CellState([0], 1)
-    with pytest.raises(ValueError, match="n must be in"):
-        CellState.zeros(0, 4)
+    # both constructors read the cell count by one rule
+    for empty in (lambda: CellState.zeros(0, 4), lambda: CellState([], 4)):
+        with pytest.raises(ValueError, match=r"n must be in \[1, 2\^24\], got 0"):
+            empty()
     # levels are integers: no silent truncation of floats, no parsing of strings
     with pytest.raises(TypeError):
         CellState([1.7, 0.2], 4)

@@ -45,6 +45,9 @@ class TestDistributionSpec:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 DistributionSpec([0.5, bad, 0.5, 0.0])
+        # an int past float range is not finite either, as min_of_n_expectation reads it
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            DistributionSpec([10**400, 0.5])
 
     def test_uniform_size_is_read_before_allocating(self, monkeypatch):
         "No law a code stores has more than 2**24 values, so a larger size allocates nothing."
@@ -431,17 +434,19 @@ def test_sweep_equals_a_lone_run_per_point(kind, k, qs, hot, cycles, seed):
 
 
 def test_a_sweep_reads_one_table_set(monkeypatch):
-    "Every load-balancing code of a q sweep reads its degree's one exp and log list after its first write."
-    codes = []
+    "Every load-balancing code of a q sweep holds its degree's one exp and log list when built, before its first write, and after."
+    codes, built = [], []
 
     def kept_code(params):
         codes.append(make_code(params))
+        built.append(codes[-1]._tables)
         return codes[-1]
 
     monkeypatch.setattr(sim, "make_code", kept_code)
     run_experiment(sweep_points(CodeKind.LOAD_BALANCING, 3, (2, 4, 8, 4)), uniform(3), 2, 0)
     assert len(codes) == 4
-    assert all(code._tables[0] is FieldSpec(4).exp and code._tables[1] is FieldSpec(4).log for code in codes)
+    for tables in built + [code._tables for code in codes]:
+        assert tables[0] is FieldSpec(4).exp and tables[1] is FieldSpec(4).log
 
 
 def test_sweep_memory_does_not_grow_with_its_points():
