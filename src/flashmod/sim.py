@@ -78,7 +78,13 @@ class DistributionSpec:
     nothing.  Only draws still at or past the next step, in buckets with
     two or more steps inside (the coincident steps of a zero mass count
     apart), are searched.  B is a power of two, so u*B and j/B are exact
-    and every draw equals the search's.
+    and every draw equals the search's.  The build reads the CDF scaled
+    by B in place, also exact: a step is at or below j/B exactly when
+    ceil(cum*B) <= j, so _guide is the running sum of one bincount of
+    those ceilings, and the steps strictly inside a bucket are those
+    where cum*B is not an integer.  Building holds one B-sized array, the
+    table kept (8 MB at the cap), beside CDF-sized temporaries made one
+    after another.
     """
 
     __slots__ = ("probs", "entropy_bits", "_cum", "_guide", "_compare", "_crowded")
@@ -96,20 +102,30 @@ class DistributionSpec:
             raise ValueError(f"the law needs >= 2 values with positive probability above {self.TOLERANCE:g}")
         p.flags.writeable = False
         self.probs = p
-        positive = p[p > 0]
-        self.entropy_bits = float(-(positive * np.log2(positive)).sum())
+        terms = p[p > 0]  # each CDF-sized temporary is dropped before the next is made
+        terms *= np.log2(terms)
+        self.entropy_bits = float(-terms.sum())
+        del terms
         cum = np.cumsum(p)
         # rounding can leave the sum short of 1 before trailing zero masses,
         # and a draw above it would land on a value the law never draws; a
         # sum past 1 is cut to it first, so the CDF stays sorted
         np.minimum(cum, 1.0, out=cum)
         cum[np.flatnonzero(p)[-1] :] = 1.0
-        self._cum = cum
         buckets = min(_GUIDE_MAX, 1 << (_GUIDE_PER_VALUE * p.size - 1).bit_length())
-        edges = np.arange(buckets + 1) / buckets
-        self._guide = cum.searchsorted(edges[:-1], side="right")
-        inside = cum.searchsorted(edges[1:], side="left") - self._guide  # CDF steps strictly inside each bucket
-        self._compare, self._crowded = bool(inside.any()), bool((inside > 1).any())
+        cum *= buckets  # exact, and exactly undone below: buckets is a power of two
+        step = cum.astype(np.intp)  # floor(cum*B): cum is non-negative
+        inside = cum != step  # the steps strictly inside bucket floor(cum*B)
+        step += inside  # ceil(cum*B): the first bucket whose lower edge is at or past the step
+        guide = np.bincount(step, minlength=buckets + 1)  # the steps whose ceiling is each bucket
+        self._guide = np.cumsum(guide, out=guide)[:-1]
+        # two steps inside one bucket are adjacent in the sorted CDF, and a step
+        # inside one whose ceiling its predecessor shares has that one inside too
+        shared = step[1:] == step[:-1]
+        shared &= inside[1:]
+        self._compare, self._crowded = bool(inside.any()), bool(shared.any())
+        cum /= buckets
+        self._cum = cum
 
     @classmethod
     def uniform(cls, size: int) -> "DistributionSpec":

@@ -164,9 +164,14 @@ class TestSampling:
     @example(law=[0.3, 0.0, 0.7], seed=6)
     @example(law=[0.5, 0.5 - 2e-12, 1e-12, 1e-12, 0.0], seed=7)
     @example(law=[0.5, 0.5 + 5e-10, 1e-11], seed=8)  # sums past 1 inside the tolerance
+    @example(law=[5e-324, 0.5, 0.5], seed=9)  # a subnormal step, scaled by the bucket count and back
+    @example(law=[-0.0, 0.5, 0.5], seed=10)  # a negative-zero step, whose ceiling is bucket 0
     def test_guide_table_equals_the_search(self, law, seed):
         "Every draw equals the inverse-CDF binary search, at each CDF step and just below it."
         dist = DistributionSpec(law)
+        positive = np.array(law, dtype=float)
+        positive = positive[positive > 0]
+        assert dist.entropy_bits == float(-(positive * np.log2(positive)).sum())
         assert np.all(np.diff(dist._cum) >= 0)  # the search and the guide read a sorted CDF
         buckets = dist._guide.size
         edges = np.arange(buckets + 1) / buckets
@@ -207,7 +212,15 @@ class TestSampling:
         "A law of more than 2**16 values fills the capped table and still draws as the search does."
         weights = cycle_rng(12, 0).random(70_000)
         weights[::7] = 0.0
-        dist = DistributionSpec(weights / weights.sum())
+        hot = [0.7] + [0.3 / 1022] * 1022 + [0.0]  # the benchmark's hot law, 2**14 buckets
+        for probs in (hot, weights / weights.sum()):  # the build holds one bucket-sized array: the table kept
+            tracemalloc.start()
+            try:
+                dist = DistributionSpec(probs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * dist._guide.nbytes, (len(probs), peak, dist._guide.nbytes)
         assert dist._guide.size == 1 << 20
         assert_draws_are_searched(dist, cycle_rng(12, 1), cycle_rng(12, 1).random(50_000))
 
